@@ -1,5 +1,5 @@
-"""Benchmark for the morsel-driven parallel scan engine and the
-dictionary-domain predicate path.
+"""Benchmark for the work-stealing parallel scan and the dictionary-domain
+predicate path.
 
 Two trajectories are recorded:
 
@@ -30,7 +30,7 @@ import pytest
 
 from repro.core import TableCompressor
 from repro.dtypes import INT64, STRING
-from repro.query import Between, Eq, In, QueryExecutor
+from repro.query import Between, EngineConfig, Eq, In
 from repro.storage.table import Table
 
 N_BLOCKS = 16
@@ -78,25 +78,24 @@ def _time(fn, repeats: int = 3) -> float:
 class TestParallelScan:
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_count_at_workers(self, benchmark, unsorted_relation, workers):
-        executor = QueryExecutor(unsorted_relation, workers=workers)
-        predicate = Between("v", 0, 100_000)
-        benchmark(executor.count, predicate)
+        query = unsorted_relation.query(config=EngineConfig(workers=workers))
+        benchmark(query.where(Between("v", 0, 100_000)).count)
 
 
 def test_print_parallel_scan_trajectory(unsorted_relation):
     """Record scan throughput per worker count on the unsorted relation."""
     relation = unsorted_relation
     predicate = Between("v", 0, 100_000)  # ~10% selectivity, zero pruning
-    baseline = QueryExecutor(relation, workers=1)
-    expected = baseline.count(predicate)
-    assert baseline.last_scan_metrics.blocks_pruned == 0
+    baseline = relation.query(config=EngineConfig(workers=1)).where(predicate)
+    expected = baseline.count()
+    assert baseline.last_metrics.blocks_pruned == 0
 
     print()
     seconds_by_workers = {}
     for workers in worker_counts():
-        executor = QueryExecutor(relation, workers=workers)
-        assert executor.count(predicate) == expected
-        seconds = _time(lambda: executor.count(predicate))
+        query = relation.query(config=EngineConfig(workers=workers)).where(predicate)
+        assert query.count() == expected
+        seconds = _time(query.count)
         seconds_by_workers[workers] = seconds
         throughput = relation.n_rows / seconds
         speedup = seconds_by_workers[min(seconds_by_workers)] / seconds
@@ -106,7 +105,7 @@ def test_print_parallel_scan_trajectory(unsorted_relation):
             f"{min(seconds_by_workers)} worker(s))"
         )
     # Acceptance: >= 2.5x at 4 workers vs 1 — only meaningful when the
-    # machine actually has >= 4 cores to spread the morsels over.
+    # machine actually has >= 4 cores to spread the blocks over.
     cores = os.cpu_count() or 1
     if cores >= 4 and 4 in seconds_by_workers and 1 in seconds_by_workers:
         speedup = seconds_by_workers[1] / seconds_by_workers[4]
@@ -125,18 +124,19 @@ def test_print_dictionary_domain_trajectory(unsorted_relation):
     """Record the dictionary-domain speedup over decode-then-compare."""
     relation = unsorted_relation
     assert relation.block(0).encoding_of("tag") == "dictionary"
-    dict_executor = QueryExecutor(relation)
-    decode_executor = QueryExecutor(relation, use_dictionary=False)
+    dict_root = relation.query()
+    decode_root = relation.query(config=EngineConfig(use_dictionary=False))
 
     print()
     for predicate in (
         Eq("tag", "cat_0042"),
         In("tag", ["cat_0001", "cat_0077", "cat_0200", "not_a_tag"]),
     ):
-        expected = decode_executor.count(predicate)
-        assert dict_executor.count(predicate) == expected
-        dict_metrics = dict_executor.last_scan_metrics
-        decode_metrics = decode_executor.last_scan_metrics
+        dict_query = dict_root.where(predicate)
+        decode_query = decode_root.where(predicate)
+        assert dict_query.count() == decode_query.count()
+        dict_metrics = dict_query.last_metrics
+        decode_metrics = decode_query.last_metrics
         # The code-space path must never materialise a string heap ...
         assert dict_metrics.string_heap_decodes == 0
         assert dict_metrics.rows_dict_evaluated == relation.n_rows
@@ -144,8 +144,8 @@ def test_print_dictionary_domain_trajectory(unsorted_relation):
         assert decode_metrics.string_heap_decodes == relation.n_rows
         assert decode_metrics.rows_dict_evaluated == 0
 
-        dict_seconds = _time(lambda p=predicate: dict_executor.count(p))
-        decode_seconds = _time(lambda p=predicate: decode_executor.count(p))
+        dict_seconds = _time(dict_query.count)
+        decode_seconds = _time(decode_query.count)
         speedup = decode_seconds / max(dict_seconds, 1e-9)
         print(
             f"[dict-domain] {predicate.describe()}: {dict_seconds * 1e3:.2f} ms "

@@ -3,7 +3,7 @@ selectivity.
 
 Beyond the paper's figures: measures what per-block statistics buy a
 selective ``Between`` scan over a sorted ``l_shipdate`` column, against the
-seed's decode-every-block path (``use_statistics=False``).  The reporting
+seed's decode-every-block path (``EngineConfig(use_statistics=False)``).  The reporting
 test records blocks pruned and asserts the headline speedup so future PRs
 have a trajectory to compare against.
 """
@@ -17,10 +17,12 @@ import pytest
 
 from _bench_config import latency_rows
 from repro.bench.experiments import _sorted_dates_relations
-from repro.query import Between, QueryExecutor
+from repro.query import Between, EngineConfig
 
 SELECTIVITIES = (0.001, 0.01, 0.05, 0.1)
 N_BLOCKS = 16
+#: The decode-every-block baseline: no zone-map pruning.
+FULL_DECODE = EngineConfig(use_statistics=False)
 
 
 @pytest.fixture(scope="module")
@@ -41,30 +43,28 @@ class TestPrunedScan:
     @pytest.mark.parametrize("selectivity", SELECTIVITIES)
     def test_count_with_pruning(self, benchmark, sorted_relation, selectivity):
         relation, ship = sorted_relation
-        executor = QueryExecutor(relation)
-        predicate = _predicate(ship, selectivity)
-        benchmark(executor.count, predicate)
+        query = relation.query().where(_predicate(ship, selectivity))
+        benchmark(query.count)
 
     @pytest.mark.parametrize("selectivity", SELECTIVITIES)
     def test_count_full_decode(self, benchmark, sorted_relation, selectivity):
         relation, ship = sorted_relation
-        executor = QueryExecutor(relation, use_statistics=False)
-        predicate = _predicate(ship, selectivity)
-        benchmark(executor.count, predicate)
+        query = relation.query(config=FULL_DECODE).where(_predicate(ship, selectivity))
+        benchmark(query.count)
 
 
 def test_print_pruning_trajectory(sorted_relation):
     """Record blocks pruned / rows decoded / speedup per selectivity."""
     relation, ship = sorted_relation
-    pruned_executor = QueryExecutor(relation)
-    full_executor = QueryExecutor(relation, use_statistics=False)
+    pruned_root = relation.query()
+    full_root = relation.query(config=FULL_DECODE)
 
-    def _time(executor, predicate, repeats=5) -> float:
-        executor.count(predicate)  # warm-up
+    def _time(query, repeats=5) -> float:
+        query.count()  # warm-up
         timings = []
         for _ in range(repeats):
             start = time.perf_counter()
-            executor.count(predicate)
+            query.count()
             timings.append(time.perf_counter() - start)
         return float(np.median(timings))
 
@@ -72,9 +72,11 @@ def test_print_pruning_trajectory(sorted_relation):
     speedups = {}
     for selectivity in SELECTIVITIES:
         predicate = _predicate(ship, selectivity)
-        pruned_seconds = _time(pruned_executor, predicate)
-        metrics = pruned_executor.last_scan_metrics
-        full_seconds = _time(full_executor, predicate)
+        pruned = pruned_root.where(predicate)
+        full = full_root.where(predicate)
+        pruned_seconds = _time(pruned)
+        metrics = pruned.last_metrics
+        full_seconds = _time(full)
         speedup = full_seconds / max(pruned_seconds, 1e-9)
         speedups[selectivity] = speedup
         print(
@@ -85,7 +87,7 @@ def test_print_pruning_trajectory(sorted_relation):
             f"full-decode ({speedup:.1f}x)"
         )
         # Counts must agree with the brute-force path.
-        assert pruned_executor.count(predicate) == full_executor.count(predicate)
+        assert pruned.count() == full.count()
     # Acceptance: >= 5x latency improvement at <= 10% selectivity on the
     # sorted column, where at most a couple of blocks overlap the range.
     assert max(speedups[s] for s in SELECTIVITIES if s <= 0.1) >= 5.0

@@ -8,10 +8,11 @@ sort-everything reference:
   on a cold out-of-core table.  The engine visits blocks in bound order and
   stops once no remaining block can beat the k-th candidate; the acceptance
   target is that at most 25% of the surviving blocks are ever fetched.
-* **work stealing** — a skewed workload (one worker's contiguous share of
-  the deal carries nearly all the compute) at 4 workers, stealing on vs
-  off.  The acceptance target is >= 1.5x, gated on the machine actually
-  having >= 4 cores.
+* **work stealing** — a skewed filter (one worker's contiguous share of
+  the deal carries nearly all the compute) run by ``QueryCompiler`` at 4
+  workers, on a ``ParallelEngine`` with stealing on vs off.  The
+  acceptance target is >= 1.5x, gated on the machine actually having >= 4
+  cores.
 
 Row count comes from ``CORRA_BENCH_TOPK_ROWS`` (default 200,000 — laptop
 scale, same convention as the other benchmarks); the steal benchmark's
@@ -28,7 +29,7 @@ import pytest
 
 from repro.core import TableCompressor
 from repro.dtypes import INT64
-from repro.query import ColumnPredicate, EngineConfig, ParallelEngine
+from repro.query import ColumnPredicate, EngineConfig, Filter, ParallelEngine, QueryCompiler, Scan
 from repro.storage import DiskRelation, Table, write_table
 
 N_BLOCKS = 64
@@ -132,20 +133,18 @@ def test_print_steal_speedup():
     relation = _skewed_relation()
     predicate = _skewed_predicate()
 
-    serial = ParallelEngine(relation, workers=1)
-    reference, _ = serial.scan(predicate)
-    serial.close()
+    plan = Filter(Scan(relation), predicate)
+    with QueryCompiler(relation) as serial:
+        reference = serial.execute(plan).row_ids
 
     results = {}
     timings = {}
     for label, stealing in (("stealing", True), ("fixed fan-out", False)):
         engine = ParallelEngine(relation, workers=workers, stealing=stealing)
-        try:
-            row_ids, metrics = engine.scan(predicate)
-            results[label] = (row_ids, metrics)
-            timings[label] = _time(lambda: engine.scan(predicate))
-        finally:
-            engine.close()
+        with QueryCompiler(relation, engine=engine) as compiler:
+            result = compiler.execute(plan)
+            results[label] = (result.row_ids, result.metrics)
+            timings[label] = _time(lambda: compiler.execute(plan))
 
     for label, (row_ids, _) in results.items():
         assert np.array_equal(row_ids, reference), f"{label} changed the result"
@@ -158,7 +157,7 @@ def test_print_steal_speedup():
         f"skewed scan at {workers} workers: fixed fan-out "
         f"{timings['fixed fan-out'] * 1e3:.1f} ms, stealing "
         f"{timings['stealing'] * 1e3:.1f} ms ({speedup:.2f}x, "
-        f"{stolen} morsel(s) stolen)"
+        f"{stolen} block(s) stolen)"
     )
     assert stolen >= 1, "the skewed deal did not trigger a single steal"
     cores = os.cpu_count() or 1

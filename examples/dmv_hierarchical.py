@@ -22,7 +22,6 @@ from repro import (
     CompressionPlan,
     DmvGenerator,
     HierarchicalEncoding,
-    QueryExecutor,
     SingleColumnBaseline,
     TableCompressor,
 )
@@ -65,10 +64,9 @@ def main(n_rows: int = 200_000) -> None:
         .build()
     )
     relation = TableCompressor(plan).compress(table)
-    executor = QueryExecutor(relation)
 
     big_city = table.column("city")[0]
-    result = executor.select(["zip_code"], Predicate.equals("city", big_city))
+    result = relation.query().where(Predicate.equals("city", big_city)).select("zip_code").execute()
     zips = np.unique(np.asarray(result.column("zip_code")))
     print(
         f"\nSELECT zip_code WHERE city = {big_city!r}: {result.n_rows:,} rows, "

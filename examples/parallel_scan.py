@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Parallel morsel-driven scans and dictionary-domain predicates.
+"""Parallel work-stealing scans and dictionary-domain predicates.
 
 This walks through the parallel execution subsystem added in PR 2:
 
 1. build an *unsorted* two-column table (zone maps cannot prune it, so every
    block must actually be evaluated — the worst case for a serial scan);
 2. compress it on all cores with ``TableCompressor(workers=0)``;
-3. run the same predicate serially and through the morsel-driven
-   :class:`~repro.query.parallel.ParallelEngine` at increasing worker counts,
-   verifying the results are identical and timing each run;
+3. run the same predicate serially and on the work-stealing
+   :class:`~repro.query.parallel.ParallelEngine` scheduler at increasing
+   worker counts (``EngineConfig(workers=...)``), verifying the results are
+   identical and timing each run;
 4. run an ``Eq`` predicate over a dictionary-encoded string column with
    code-space evaluation on and off, showing the ``string_heap_decodes``
    counter drop to zero while the answer stays the same.
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro import TableCompressor
 from repro.dtypes import INT64, STRING
-from repro.query import Between, Eq, QueryExecutor
+from repro.query import Between, EngineConfig, Eq
 from repro.storage import Table
 
 
@@ -54,16 +55,15 @@ def main(n_rows: int = 400_000) -> None:
         f"{relation.block(0).encoding_of('tag')})"
     )
 
-    # 3. The same scan, serial vs morsel-driven parallel.
+    # 3. The same scan, serial vs parallel.
     predicate = Between("v", 0, 100_000)  # ~10% selectivity, zero pruning
-    reference = QueryExecutor(relation, workers=1)
-    expected = reference.count(predicate)
+    expected = relation.query().where(predicate).count()
     print(f"\nscan {predicate.describe()} -> {expected:,} rows")
     for workers in (1, 2, os.cpu_count() or 1):
-        executor = QueryExecutor(relation, workers=workers)
-        assert executor.count(predicate) == expected  # identical to serial
+        query = relation.query(config=EngineConfig(workers=workers)).where(predicate)
+        assert query.count() == expected  # identical to serial
         start = time.perf_counter()
-        executor.count(predicate)
+        query.count()
         seconds = time.perf_counter() - start
         print(
             f"  workers={workers}: {seconds * 1e3:6.2f} ms "
@@ -74,11 +74,12 @@ def main(n_rows: int = 400_000) -> None:
     predicate = Eq("tag", "cat_042")
     print(f"\nscan {predicate.describe()}")
     for use_dictionary, label in ((False, "decode-then-compare"), (True, "code-space")):
-        executor = QueryExecutor(relation, use_dictionary=use_dictionary)
+        config = EngineConfig(use_dictionary=use_dictionary)
+        query = relation.query(config=config).where(predicate)
         start = time.perf_counter()
-        count = executor.count(predicate)
+        count = query.count()
         seconds = time.perf_counter() - start
-        metrics = executor.last_scan_metrics
+        metrics = query.last_metrics
         print(
             f"  {label:>19}: {count:,} rows in {seconds * 1e3:6.2f} ms, "
             f"{metrics.string_heap_decodes:,} heap decodes, "

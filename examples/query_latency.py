@@ -29,7 +29,6 @@ from repro import (
     Between,
     CompressionPlan,
     Eq,
-    QueryExecutor,
     SingleColumnBaseline,
     Table,
     TableCompressor,
@@ -60,15 +59,14 @@ def demo_scan_pruning(n_rows: int) -> None:
     relation = TableCompressor(plan, block_size=max(n_rows // 16, 1)).compress(
         sorted_table
     )
-    executor = QueryExecutor(relation)
-
     lo = int(np.quantile(ship, 0.40))
     hi = int(np.quantile(ship, 0.45))
     predicate = Between("l_shipdate", lo, hi) & Eq(
         "l_receiptdate", int(np.quantile(ship, 0.42)) + 7
     )
-    count = executor.count(predicate)
-    metrics = executor.last_scan_metrics
+    query = relation.query().where(predicate)
+    count = query.count()
+    metrics = query.last_metrics
     print(f"\nscan pruning on the sorted relation ({relation.n_blocks} blocks):")
     print(f"  predicate: {predicate.describe()}")
     print(f"  count:     {count:,} rows")

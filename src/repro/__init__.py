@@ -12,7 +12,7 @@ provides:
 * a block-based columnar storage layer with per-block zone maps, a
   single-file ``.corra`` table format served out-of-core through a
   byte-budgeted block cache, and a query engine with a structured predicate
-  IR, statistics-driven scan pruning, lazy logical plans and morsel-driven
+  IR, statistics-driven scan pruning, lazy logical plans and work-stealing
   parallelism (:mod:`repro.storage`, :mod:`repro.query`);
 * synthetic stand-ins for the paper's four datasets (:mod:`repro.datasets`);
 * baselines, including the independent C3 system (:mod:`repro.baselines`);
@@ -31,15 +31,16 @@ Quickstart::
     relation = TableCompressor(plan).compress(table)
     print(relation.column_size("l_receiptdate"))
 
-Querying uses the predicate IR; blocks whose zone maps rule out a match are
-skipped without decoding, and :class:`~repro.query.ScanMetrics` reports how
-much work that saved::
+Querying starts a lazy chain with ``relation.query()`` and filters with the
+predicate IR; blocks whose zone maps rule out a match are skipped without
+decoding, and :class:`~repro.query.ScanMetrics` reports how much work that
+saved::
 
-    from repro import Between, QueryExecutor
+    from repro import Between
 
-    executor = QueryExecutor(relation)
-    n = executor.count(Between("l_shipdate", 9_000, 9_030))
-    print(n, executor.last_scan_metrics.describe())
+    query = relation.query().where(Between("l_shipdate", 9_000, 9_030))
+    n = query.count()
+    print(n, query.last_metrics.describe())
 """
 
 from .baselines import C3Selector, SingleColumnBaseline, UncompressedBaseline
@@ -98,8 +99,6 @@ from .query import (
     In,
     Or,
     Predicate,
-    QueryExecutor,
-    QueryResult,
     ScanMetrics,
     ScanPlanner,
     SelectionVector,
@@ -156,7 +155,7 @@ __all__ = [
     "PlanBuilder", "ColumnPlan", "TableCompressor",
     # query
     "SelectionVector", "generate_selection_vectors", "materialize_columns",
-    "QueryExecutor", "QueryResult", "Predicate",
+    "Predicate",
     "Eq", "Between", "In", "And", "Or", "ColumnPredicate",
     "ScanMetrics", "ScanPlanner", "sweep_query_latency",
     # datasets

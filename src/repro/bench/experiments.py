@@ -651,7 +651,7 @@ def scan_pruning_experiment(
 
     import numpy as np
 
-    from ..query.executor import QueryExecutor
+    from ..query.engine import EngineConfig
     from ..query.predicates import Between
 
     relation, sorted_table = _sorted_dates_relations(n_rows, n_blocks, seed)
@@ -669,24 +669,24 @@ def scan_pruning_experiment(
             "Speedup",
         ),
     )
-    pruned_executor = QueryExecutor(relation)
-    full_executor = QueryExecutor(relation, use_statistics=False)
+    pruned_query = relation.query()
+    full_query = relation.query(config=EngineConfig(use_statistics=False))
 
-    def _time(executor, predicate) -> float:
-        executor.count(predicate)  # warm-up
+    def _time(root, predicate):
+        query = root.where(predicate)
+        query.count()  # warm-up
         timings = []
         for _ in range(repeats):
             start = time.perf_counter()
-            executor.count(predicate)
+            query.count()
             timings.append(time.perf_counter() - start)
-        return float(np.median(timings))
+        return float(np.median(timings)), query.last_metrics
 
     for selectivity in selectivities:
         cutoff = int(ship[min(int(selectivity * ship.size), ship.size - 1)])
         predicate = Between("l_shipdate", int(ship[0]), cutoff)
-        pruned_seconds = _time(pruned_executor, predicate)
-        metrics = pruned_executor.last_scan_metrics
-        full_seconds = _time(full_executor, predicate)
+        pruned_seconds, metrics = _time(pruned_query, predicate)
+        full_seconds, _ = _time(full_query, predicate)
         speedup = full_seconds / pruned_seconds if pruned_seconds > 0 else float("inf")
         result.add_row(
             selectivity,

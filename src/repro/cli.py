@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="threads for the morsel-driven scan and for block compression "
+        help="threads for the parallel scan and for block compression "
         "(0 = one per core; default 1 = serial)",
     )
     query.add_argument(
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="threads per query for the morsel-driven scan (0 = one per core)",
+        help="threads per query for the parallel scan (0 = one per core)",
     )
     serve.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES, metavar="N")
     serve.add_argument(

@@ -49,16 +49,18 @@ Layers, bottom to top:
              └─ (no kernel, or kernel declines) ─▶ decode then compare
 
   Every kernel is exact — bit-identical to the decode baseline — and
-  ``use_kernels=False`` (CLI ``--no-kernels``) disables the registry.
-* **Morsel-driven parallelism** (:mod:`~repro.query.parallel`) — post-
-  pruning blocks are dealt into per-worker deques over a persistent thread
-  pool, and drained workers steal from the back of a sibling's deque, so
-  skewed workloads rebalance; the NumPy kernels release the GIL, and
-  results are bit-identical to serial execution.
+  ``EngineConfig(use_kernels=False)`` (CLI ``--no-kernels``) disables the registry.
+* **Work-stealing parallelism** (:mod:`~repro.query.parallel`) — every
+  post-pruning block becomes one per-block task; tasks are dealt into
+  per-worker deques over a persistent thread pool, and drained workers
+  steal from the back of a sibling's deque, so skewed workloads
+  rebalance; the NumPy kernels release the GIL, and results are
+  bit-identical to serial execution.
 * **Logical plans** (:mod:`~repro.query.plan`) — ``Scan``/``Filter``/
   ``Project``/``Aggregate``/``Sort``/``TopK``/``Limit`` nodes, the fluent
-  :class:`LazyQuery` builder, and the :class:`QueryCompiler`, which pushes
-  work down before anything is materialised: projections decode only
+  :class:`LazyQuery` builder, and the :class:`QueryCompiler`, which runs
+  every operator on one per-block pipeline and pushes work down before
+  anything is materialised: projections decode only
   referenced columns, ``count``/``min``/``max``/``sum`` over fully-covered
   blocks are answered from
   :class:`~repro.storage.statistics.ColumnStatistics` without decoding
@@ -66,21 +68,17 @@ Layers, bottom to top:
   decode per distinct group), limits truncate row ids before
   materialisation, and ``order_by().limit(k)`` fuses into a zone-map-driven
   top-k that stops visiting (and fetching) blocks early.
-* **Imperative facade** (:mod:`~repro.query.executor`) —
-  :class:`QueryExecutor` keeps the pre-plan ``scan``/``filter``/``select``/
-  ``count`` surface as a thin layer that builds the equivalent plans.
 * **Shared engine** (:mod:`~repro.query.engine`) — :class:`Engine` owns
   all cross-query state (one worker pool, one prefetch pool, one block
   cache, one kernel registry, one memoized compiler/planner per relation)
-  behind an immutable :class:`EngineConfig`; ``LazyQuery``, the executor
-  and the query service (:mod:`repro.server`) are thin adapters over it.
+  behind an immutable :class:`EngineConfig`; ``LazyQuery`` and the query
+  service (:mod:`repro.server`) are thin adapters over it.
 
 :mod:`~repro.query.selection` and :mod:`~repro.query.latency` carry the
 paper's selection-vector workload and its latency harness unchanged.
 """
 
 from .engine import Engine, EngineConfig
-from .executor import QueryExecutor, QueryResult
 from .kernels import (
     DEFAULT_KERNELS,
     ColumnKernel,
@@ -97,7 +95,7 @@ from .latency import (
     measure_query_latency,
     sweep_query_latency,
 )
-from .parallel import Morsel, ParallelEngine, parallel_map, resolve_workers
+from .parallel import ParallelEngine, parallel_map, resolve_workers
 from .plan import (
     Aggregate,
     AggregateFunction,
@@ -154,8 +152,6 @@ __all__ = [
     "resolve_block",
     "Engine",
     "EngineConfig",
-    "QueryExecutor",
-    "QueryResult",
     "Predicate",
     "Eq",
     "Between",
@@ -175,7 +171,6 @@ __all__ = [
     "FrequencyKernel",
     "KernelRegistry",
     "DEFAULT_KERNELS",
-    "Morsel",
     "ParallelEngine",
     "parallel_map",
     "resolve_workers",

@@ -1,13 +1,11 @@
 """The shared query engine: one object owning all cross-query state.
 
-Before this module, every entry point (``QueryExecutor``, a
-``relation.query()`` chain, the CLI) re-created its own planner memo,
-worker pool, prefetch threads and cache on every call, and configured them
-through a sprawl of repeated keyword arguments.  :class:`Engine` inverts
-that: it owns **one** of each shared resource —
+A ``relation.query()`` chain on its own builds a private compiler, planner
+memo and worker pool.  :class:`Engine` instead owns **one** of each shared
+resource —
 
-* one worker :class:`~concurrent.futures.ThreadPoolExecutor` fanning every
-  query's morsels and aggregation tasks;
+* one worker :class:`~concurrent.futures.ThreadPoolExecutor` running every
+  query's per-block tasks;
 * one read-ahead pool shared by every open table;
 * one :class:`~repro.storage.cache.BlockCache` bounding the combined
   resident bytes of every table (tenant round-robin eviction arbitrates
@@ -19,7 +17,7 @@ that: it owns **one** of each shared resource —
 
 — configured once through an immutable :class:`EngineConfig`.  Queries
 start from :meth:`Engine.query` (a :class:`~repro.query.plan.LazyQuery`
-bound to the engine) or :meth:`Engine.executor`; tables open by name via
+bound to the engine); tables open by name via
 :meth:`Engine.table` when the engine fronts a
 :class:`~repro.storage.catalog.Catalog`.  The engine is thread-safe: the
 query service calls it from many request threads at once, and results are
@@ -34,7 +32,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..errors import ValidationError
 from ..storage.cache import DEFAULT_CACHE_BYTES, BlockCache, CacheStats
@@ -45,9 +43,6 @@ from .plan import LazyQuery, QueryCompiler
 from .scan import ScanPlanner
 from .tracing import StageHistograms, Tracer
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .executor import QueryExecutor
-
 __all__ = ["Engine", "EngineConfig"]
 
 #: Read-ahead threads of an engine's shared prefetch pool.
@@ -56,15 +51,13 @@ DEFAULT_PREFETCH_WORKERS = 2
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """The engine's knobs, consolidated from the legacy keyword sprawl.
+    """The engine's knobs: one immutable object for every query entry point.
 
-    One immutable object replaces the ``workers``/``use_statistics``/
-    ``use_dictionary``/``use_kernels``/``cache_bytes``/``prefetch_workers``
-    keywords that used to be repeated (inconsistently) across
-    ``QueryExecutor``, ``Relation.query``, ``DiskRelation`` and the CLI.
+    An :class:`Engine`, a ``relation.query(config=...)`` chain, the CLI and
+    the query service all take their settings from one of these.
     """
 
-    #: Morsel-driven parallelism per query (``None``/``0`` = all cores).
+    #: Worker threads per query (``None``/``0`` = all cores).
     workers: int | None = 1
     #: Zone-map pruning and stat-answered aggregates.
     use_statistics: bool = True
@@ -166,7 +159,7 @@ class Engine:
         return self._catalog
 
     def _worker_pool(self) -> ThreadPoolExecutor | None:
-        """The shared morsel/aggregation pool (``None`` when serial).
+        """The shared per-block task pool (``None`` when serial).
 
         Created lazily under the engine lock; every compiler's
         ``ParallelEngine`` receives it as an external pool, so concurrent
@@ -266,12 +259,6 @@ class Engine:
         the shared :attr:`stage_latency` buckets.
         """
         return Tracer(histograms=self._stage_latency)
-
-    def executor(self, relation: Relation) -> "QueryExecutor":
-        """An imperative :class:`~repro.query.executor.QueryExecutor` adapter."""
-        from .executor import QueryExecutor
-
-        return QueryExecutor(relation, engine=self)
 
     # -- catalog tables --------------------------------------------------------
 

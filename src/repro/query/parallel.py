@@ -1,60 +1,47 @@
-"""Morsel-driven parallel execution over compressed relations.
+"""Work-stealing parallel execution over compressed relations.
 
-The serial executor walks the post-pruning block list one block at a time,
-so scan latency is bounded by a single core even though every per-block
-kernel (bit-unpacking, predicate masks, ``np.isin``) is NumPy code that
-releases the GIL.  :class:`ParallelEngine` lifts that limit:
+Every query operator walks the post-pruning block list one block at a
+time, and every per-block kernel (bit-unpacking, predicate masks,
+``np.isin``, gathers) is NumPy code that releases the GIL.
+:class:`ParallelEngine` spreads that walk over worker threads:
 
-* the :class:`~repro.query.scan.ScanPlanner` classifies blocks as usual —
-  pruned and fully-covered blocks never reach a worker;
-* the surviving *scan* blocks are split into **morsels** (small runs of
-  consecutive blocks, the work-stealing granule of morsel-driven execution);
-* the morsels are dealt into per-worker deques as contiguous slices (good
-  for read-ahead locality) and a ``ThreadPoolExecutor`` runs one *drain
-  loop* per worker: each worker pops morsels from the **front** of its own
-  deque, and when it drains it **steals from the back** of a sibling's —
-  so a skewed workload (one dense block among pruned ones, RLE blocks of
-  wildly different run counts, cache-miss stragglers on a
-  :class:`~repro.storage.disk.DiskRelation`) no longer serialises on the
-  slowest worker's tail::
+* :meth:`ParallelEngine.classify` asks the
+  :class:`~repro.query.scan.ScanPlanner` for the block decisions — pruned
+  blocks never reach a worker, and every surviving block becomes one
+  :class:`BlockTask` (scanned or fully covered);
+* :meth:`ParallelEngine.run` deals the tasks into per-worker deques as
+  contiguous slices (good for read-ahead locality) and runs one *drain
+  loop* per worker on a ``ThreadPoolExecutor``: each worker pops tasks
+  from the **front** of its own deque, and when it drains it **steals
+  from the back** of a sibling's — so a skewed workload (one dense block
+  among pruned ones, RLE blocks of wildly different run counts,
+  cache-miss stragglers on a :class:`~repro.storage.disk.DiskRelation`)
+  no longer serialises on the slowest worker's tail::
 
-      morsels   [m0 m1 m2 m3 | m4 m5 m6 m7]      contiguous deal, 2 workers
-                     │                │
-      worker 0   m0 m1 m2 m3     worker 1   m4 m5 m6 m7
+      tasks      [t0 t1 t2 t3 | t4 t5 t6 t7]      contiguous deal, 2 workers
+                      │                │
+      worker 0   t0 t1 t2 t3     worker 1   t4 t5 t6 t7
                  ▲ popleft()                ▲ popleft()
                  (own work: front)          ...finishes early, then
-                                            steals m3 = queues[0].pop()
-                                            (victim's back: the morsel the
+                                            steals t3 = queues[0].pop()
+                                            (victim's back: the task the
                                             owner would reach *last*)
 
-  Each worker evaluates its blocks' predicate masks via
-  :func:`~repro.query.scan.evaluate_block_predicate` (dictionary-domain
-  routing included) and records a private :class:`ScanMetrics`; steals are
-  charged to ``steal_attempts``/``morsels_stolen`` and show up as
-  ``steal`` spans in the tracing tree.  Both deque ends are single
-  CPython bytecode operations, so no locks are needed and a morsel is
-  taken exactly once;
-* per-morsel results are merged back in block order, so row ids come out
-  sorted and identical to serial execution — stealing changes *where* a
-  morsel runs, never what it returns — and the per-worker metrics are
-  folded into one object with :meth:`ScanMetrics.merge`;
-* over an out-of-core relation, each worker hints the *next* surviving
-  block's required (predicate) columns to the relation's read-ahead pool
-  before running the current block's kernel, so cold fetches overlap with
-  compute — on column-granular tables (format v3) only the predicate
-  columns' sub-segments move.
+  Steals are charged to ``steal_attempts``/``morsels_stolen`` and show up
+  as ``steal`` spans in the tracing tree.  Both deque ends are single
+  CPython bytecode operations, so no locks are needed and a task is taken
+  exactly once;
+* results come back in task order, so stealing changes *where* a task
+  runs, never what the caller merges.
 
-Threads (not processes) are the right vehicle here because the kernels are
-NumPy-bound; morsels only coordinate which Python-level loop iteration runs
-where.  ``workers=1`` executes inline without a pool, which keeps the
-engine usable as the single code path for correctness tests.
-
-Beyond predicate scans, :meth:`ParallelEngine.map_items` exposes the same
-persistent pool as an ordered map, which the query compiler uses to fan
-per-block aggregation tasks across the workers.  The module also provides
-:func:`parallel_map`, the ad-hoc ordered thread-pool map that
-:class:`~repro.core.plan.TableCompressor` uses to compress blocks on all
-cores.
+What a task *does* — predicate, prefetch hint, operator partial — is the
+query compiler's per-block pipeline
+(:class:`~repro.query.plan.QueryCompiler`); this module only schedules it.
+Threads (not processes) are the right vehicle because the kernels are
+NumPy-bound.  ``workers=1`` executes inline without a pool.  The module
+also provides :func:`parallel_map`, the ad-hoc ordered thread-pool map
+that :class:`~repro.core.plan.TableCompressor` uses to compress blocks on
+all cores.
 """
 
 from __future__ import annotations
@@ -62,27 +49,18 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
-
-import numpy as np
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 from ..errors import ValidationError
 from ..storage.relation import Relation
 from .predicates import Predicate
-from .scan import BlockDecision, ScanMetrics, ScanPlanner, evaluate_block_predicate
+from .scan import BlockDecision, ScanMetrics, ScanPlanner
 from .tracing import current_tracer, run_adopted
 
-__all__ = ["Morsel", "ParallelEngine", "parallel_map", "resolve_workers"]
+__all__ = ["BlockTask", "ParallelEngine", "parallel_map", "resolve_workers"]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Blocks per morsel when the caller does not choose one.  Morsels are
-#: fixed-size runs of consecutive scan blocks; one block per morsel
-#: maximises scheduling freedom, and callers with very many tiny blocks can
-#: raise ``morsel_blocks`` to amortise per-morsel dispatch overhead.
-DEFAULT_MORSEL_BLOCKS = 1
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -125,20 +103,19 @@ def _adopting(fn: Callable[[T], R]) -> Callable[[T], R]:
     return lambda item: run_adopted(tracer, parent, fn, item)
 
 
-@dataclass(frozen=True)
-class Morsel:
-    """A run of consecutive *scan* blocks handed to one worker at a time."""
+class BlockTask(NamedTuple):
+    """One non-pruned block of a classified scan: the scheduler's work unit."""
 
-    block_indices: tuple[int, ...]
-    row_offsets: tuple[int, ...]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_indices)
+    #: Block position in the relation.
+    index: int
+    #: Global row id of the block's first row.
+    offset: int
+    #: The planner proved every row qualifies (no predicate evaluation).
+    full: bool
 
 
 class ParallelEngine:
-    """Parallel scan/count over a relation, morsel by morsel.
+    """Block classification plus the work-stealing per-block scheduler.
 
     Parameters
     ----------
@@ -149,25 +126,13 @@ class ParallelEngine:
     planner:
         An existing (possibly memoized) :class:`ScanPlanner` to share; a
         fresh one is created otherwise.
-    morsel_blocks:
-        Blocks per morsel (default 1).
-    use_dictionary:
-        Route ``Eq``/``In``/``Between`` over dictionary-encoded columns
-        through code space (default) or force decode-then-compare.
-    use_kernels:
-        Offer single-column subtrees to the compressed-domain kernel
-        registry (RLE run space, FOR/delta word space — default) or force
-        the decode path.
-    kernels:
-        An explicit :class:`~repro.query.kernels.KernelRegistry` to consult
-        (``None`` uses the default registry).
     pool:
-        An externally-owned ``ThreadPoolExecutor`` to fan morsels over —
+        An externally-owned ``ThreadPoolExecutor`` to run drain loops on —
         a shared :class:`~repro.query.engine.Engine` passes its one pool
         here so N concurrent queries share workers.  :meth:`close` never
         shuts an external pool down.
     stealing:
-        Let drained workers steal morsels from the back of a sibling's
+        Let drained workers steal tasks from the back of a sibling's
         deque (default).  ``False`` keeps the same contiguous per-worker
         deal but never rebalances — the fixed fan-out baseline that
         skew benchmarks compare against.
@@ -178,22 +143,12 @@ class ParallelEngine:
         relation: Relation,
         workers: int | None = None,
         planner: ScanPlanner | None = None,
-        morsel_blocks: int = DEFAULT_MORSEL_BLOCKS,
-        use_dictionary: bool = True,
-        use_kernels: bool = True,
-        kernels=None,
         pool: ThreadPoolExecutor | None = None,
         stealing: bool = True,
     ):
-        if morsel_blocks < 1:
-            raise ValidationError("morsel size must be at least one block")
         self._relation = relation
         self._workers = resolve_workers(workers)
         self._planner = planner if planner is not None else ScanPlanner(relation)
-        self._morsel_blocks = morsel_blocks
-        self._use_dictionary = use_dictionary
-        self._use_kernels = use_kernels
-        self._kernels = kernels
         self._stealing = stealing
         #: Externally-owned pool (shared engine): used but never shut down.
         self._shared_pool = pool
@@ -214,37 +169,16 @@ class ParallelEngine:
     def planner(self) -> ScanPlanner:
         return self._planner
 
-    # -- morsel construction ---------------------------------------------------
+    def classify(self, predicate: Predicate | None) -> tuple[list[BlockTask], ScanMetrics]:
+        """Plan a scan: the non-pruned blocks as tasks, plus pre-filled metrics.
 
-    def morsels(self, scan_items: Sequence[tuple[int, int]]) -> list[Morsel]:
-        """Group ``(block_index, row_offset)`` scan items into morsels."""
-        size = self._morsel_blocks
-        return [
-            Morsel(
-                block_indices=tuple(i for i, _ in scan_items[start : start + size]),
-                row_offsets=tuple(o for _, o in scan_items[start : start + size]),
-            )
-            for start in range(0, len(scan_items), size)
-        ]
-
-    # -- execution -------------------------------------------------------------
-
-    def classify(
-        self, predicate: Predicate | None
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], ScanMetrics]:
-        """Plan a scan: (scan items, full items, pre-filled metrics).
-
-        Items are ``(block_index, row_offset)`` pairs in block order; the
-        metrics carry the block totals and per-decision counts.  This is the
-        single classification step shared by the engine's own ``scan`` /
-        ``count`` and by the query compiler's aggregate execution.
-        ``predicate=None`` classifies every non-empty block as fully
-        covered.
+        Tasks come in block order; the metrics carry the block totals and
+        per-decision counts.  ``predicate=None`` classifies every non-empty
+        block as fully covered.
         """
         plan = self._planner.plan(predicate)
         metrics = ScanMetrics(n_blocks=plan.n_blocks, rows_total=self._relation.n_rows)
-        scan_items: list[tuple[int, int]] = []
-        full_items: list[tuple[int, int]] = []
+        tasks: list[BlockTask] = []
         offset = 0
         for index, decision in enumerate(plan.decisions):
             block = self._relation.block(index)
@@ -252,130 +186,40 @@ class ParallelEngine:
                 metrics.blocks_pruned += 1
             elif decision == BlockDecision.FULL:
                 metrics.blocks_full += 1
-                full_items.append((index, offset))
+                tasks.append(BlockTask(index, offset, True))
             else:
                 metrics.blocks_scanned += 1
-                scan_items.append((index, offset))
+                tasks.append(BlockTask(index, offset, False))
             offset += block.n_rows
-        return scan_items, full_items, metrics
+        return tasks, metrics
 
-    def _next_block_map(self, scan_items: Sequence[tuple[int, int]]) -> dict[int, int]:
-        """Each scan block mapped to the scan block that follows it in plan order.
+    def run(self, tasks: Sequence[T], fn: Callable[[T], R]) -> tuple[list[R], ScanMetrics]:
+        """``[fn(task) for task in tasks]`` under the work-stealing scheduler.
 
-        This is what read-ahead keys on: while block ``i``'s predicate
-        kernel runs, the next *surviving* block's required columns are
-        already being fetched.
-        """
-        indices = [index for index, _ in scan_items]
-        return dict(zip(indices, indices[1:]))
+        Returns the results *in task order* — stealing moves work between
+        threads, never reorders the output — plus one scheduler-level
+        :class:`ScanMetrics` carrying the ``steal_attempts``/
+        ``morsels_stolen`` counters summed over workers.
 
-    def _evaluate_morsel(
-        self,
-        morsel: Morsel,
-        predicate: Predicate,
-        count_only: bool = False,
-        required_columns: tuple[str, ...] | None = None,
-        next_block: "dict[int, int] | None" = None,
-    ) -> tuple[list[tuple[int, np.ndarray]], ScanMetrics]:
-        """Worker body: per-block qualifying row ids plus private metrics.
-
-        ``count_only`` skips materialising row-id arrays (mirroring the
-        serial ``count`` path's ``np.count_nonzero``) — only the counters in
-        the returned metrics matter then.  When the relation supports
-        read-ahead, the next surviving block's ``required_columns`` are
-        prefetched before this block's kernel runs.
-        """
-        partial = ScanMetrics()
-        matches: list[tuple[int, np.ndarray]] = []
-        prefetch = getattr(self._relation, "prefetch_block_columns", None)
-        for index, offset in zip(morsel.block_indices, morsel.row_offsets):
-            if prefetch is not None and next_block is not None:
-                following = next_block.get(index)
-                if following is not None:
-                    prefetch(following, required_columns)
-            block = self._relation.block(index)
-            mask = evaluate_block_predicate(
-                block,
-                predicate,
-                metrics=partial,
-                use_dictionary=self._use_dictionary,
-                use_kernels=self._use_kernels,
-                kernels=self._kernels,
-            )
-            if count_only:
-                partial.rows_matched += int(np.count_nonzero(mask))
-                continue
-            matched = np.flatnonzero(mask)
-            partial.rows_matched += int(matched.size)
-            if matched.size:
-                matches.append((index, matched + offset))
-        return matches, partial
-
-    def map_items(self, items: Sequence[T], fn: Callable[[T], R]) -> list[R]:
-        """``[fn(item) for item in items]`` over the engine's persistent pool.
-
-        Output order matches input order.  With one worker (or at most one
-        item) the map runs inline; otherwise the same lazily-created pool
-        that serves predicate scans is reused, so interleaved scans and
-        aggregations share their threads.  The query compiler fans
-        per-block aggregation tasks through this.
-        """
-        if not items:
-            return []
-        if self._workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        fn = _adopting(fn)
-        pool = self._shared_pool
-        if pool is None:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self._workers)
-            pool = self._pool
-        return list(pool.map(fn, items))
-
-    def _run_morsels(
-        self,
-        morsels: Sequence[Morsel],
-        predicate: Predicate,
-        count_only: bool = False,
-        required_columns: tuple[str, ...] | None = None,
-        next_block: "dict[int, int] | None" = None,
-    ) -> tuple[list[tuple[list[tuple[int, np.ndarray]], ScanMetrics]], ScanMetrics]:
-        """Evaluate every morsel under the work-stealing scheduler.
-
-        Returns the per-morsel ``(matches, metrics)`` results *in morsel
-        order* — stealing moves work between threads, never reorders the
-        output — plus one scheduler-level :class:`ScanMetrics` carrying the
-        ``steal_attempts``/``morsels_stolen`` counters summed over workers.
-
-        The morsel list is dealt into ``n_workers`` contiguous deques (so
-        each worker's own work preserves the read-ahead-friendly block
-        order) and one drain loop runs per worker: own work comes off the
-        front (``popleft``); a drained worker probes siblings round-robin
-        and steals from the back (``pop``) — the morsel its owner would
-        have reached last.  Both deque ends are atomic under the GIL, so a
-        morsel is executed exactly once without any locking.  Results land
-        in a pre-sized list at their morsel's position; the writes are to
+        The tasks are dealt into ``n_workers`` contiguous deques (so each
+        worker's own work preserves the read-ahead-friendly block order)
+        and one drain loop runs per worker: own work comes off the front
+        (``popleft``); a drained worker probes siblings round-robin and
+        steals from the back (``pop``) — the task its owner would have
+        reached last.  Both deque ends are atomic under the GIL, so a task
+        is executed exactly once without any locking.  Results land in a
+        pre-sized list at their task's position; the writes are to
         disjoint indices, so the shared list needs no lock either.
         """
         scheduler = ScanMetrics()
-        indexed = list(enumerate(morsels))
-        results: list[tuple[list[tuple[int, np.ndarray]], ScanMetrics]] = [
-            ([], ScanMetrics())
-        ] * len(indexed)
-
-        def evaluate(position: int, morsel: Morsel) -> None:
-            results[position] = self._evaluate_morsel(
-                morsel, predicate, count_only, required_columns, next_block
-            )
-
-        n_workers = min(self._workers, len(indexed))
+        n_workers = min(self._workers, len(tasks))
         if n_workers <= 1:
-            for position, morsel in indexed:
-                evaluate(position, morsel)
-            return results, scheduler
+            return [fn(task) for task in tasks], scheduler
 
+        results: list[Any] = [None] * len(tasks)
+        indexed = list(enumerate(tasks))
         base, extra = divmod(len(indexed), n_workers)
-        queues: list[deque[tuple[int, Morsel]]] = []
+        queues: list[deque[tuple[int, T]]] = []
         start = 0
         for worker_id in range(n_workers):
             stop = start + base + (1 if worker_id < extra else 0)
@@ -388,7 +232,7 @@ class ParallelEngine:
             own = queues[worker_id]
             while True:
                 try:
-                    position, morsel = own.popleft()
+                    position, task = own.popleft()
                 except IndexError:
                     if not self._stealing:
                         return stats
@@ -401,18 +245,21 @@ class ParallelEngine:
                         except IndexError:
                             continue
                         stats.morsels_stolen += 1
-                        position, morsel = stolen
-                        with tracer.span(
-                            "steal", worker=worker_id, victim=victim
-                        ):
-                            evaluate(position, morsel)
+                        position, task = stolen
+                        with tracer.span("steal", worker=worker_id, victim=victim):
+                            results[position] = fn(task)
                         break
                     if stolen is None:
                         return stats
                     continue
-                evaluate(position, morsel)
+                results[position] = fn(task)
 
-        for stats in self.map_items(list(range(n_workers)), drain):
+        pool = self._shared_pool
+        if pool is None:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(max_workers=self._workers)
+            pool = self._pool
+        for stats in pool.map(_adopting(drain), range(n_workers)):
             scheduler.merge(stats)
         return results, scheduler
 
@@ -429,65 +276,3 @@ class ParallelEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def scan(self, predicate: Predicate) -> tuple[np.ndarray, ScanMetrics]:
-        """Global row ids satisfying ``predicate`` plus merged scan metrics.
-
-        Row ids are returned in ascending order, bit-identical to the serial
-        executor's output.
-        """
-        tracer = current_tracer()
-        with tracer.span("scan") as span:
-            scan_items, full_items, metrics = self.classify(predicate)
-            results, scheduler = self._run_morsels(
-                self.morsels(scan_items),
-                predicate,
-                required_columns=predicate.columns(),
-                next_block=self._next_block_map(scan_items),
-            )
-            metrics.merge(scheduler)
-
-            per_block: dict[int, np.ndarray] = {}
-            for matches, partial in results:
-                metrics.merge(partial)
-                for index, row_ids in matches:
-                    per_block[index] = row_ids
-            for index, offset in full_items:
-                n = self._relation.block(index).n_rows
-                metrics.rows_matched += n
-                per_block[index] = np.arange(offset, offset + n, dtype=np.int64)
-
-            if tracer.enabled:
-                span.annotate(
-                    rows=metrics.rows_matched,
-                    blocks=len(scan_items),
-                    stolen=metrics.morsels_stolen,
-                )
-            if not per_block:
-                return np.zeros(0, dtype=np.int64), metrics
-            ordered = [per_block[index] for index in sorted(per_block)]
-            return np.concatenate(ordered), metrics
-
-    def count(self, predicate: Predicate) -> tuple[int, ScanMetrics]:
-        """Number of qualifying rows plus merged metrics (no ids built)."""
-        tracer = current_tracer()
-        with tracer.span("scan") as span:
-            scan_items, full_items, metrics = self.classify(predicate)
-            results, scheduler = self._run_morsels(
-                self.morsels(scan_items),
-                predicate,
-                count_only=True,
-                required_columns=predicate.columns(),
-                next_block=self._next_block_map(scan_items),
-            )
-            metrics.merge(scheduler)
-            total = 0
-            for matches, partial in results:
-                metrics.merge(partial)
-                total += partial.rows_matched
-            for index, _ in full_items:
-                total += self._relation.block(index).n_rows
-            metrics.rows_matched = total
-            if tracer.enabled:
-                span.annotate(rows=total, blocks=len(scan_items))
-            return total, metrics

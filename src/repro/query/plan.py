@@ -1,11 +1,9 @@
 """Lazy logical query plans: builder, compiler, and aggregate pushdown.
 
-This is the composable front door of the query engine.  Instead of calling
-the imperative :class:`~repro.query.executor.QueryExecutor` methods, a query
-is *described* first — as a small tree of logical nodes (:class:`Scan`,
-:class:`Filter`, :class:`Project`, :class:`Aggregate`, :class:`Sort`,
-:class:`TopK`, :class:`Limit`) built with the fluent :class:`LazyQuery`
-API::
+This is the front door of the query engine.  A query is *described*
+first — as a small tree of logical nodes (:class:`Scan`, :class:`Filter`,
+:class:`Project`, :class:`Aggregate`, :class:`Sort`, :class:`TopK`,
+:class:`Limit`) built with the fluent :class:`LazyQuery` API::
 
     result = (
         relation.query()
@@ -19,11 +17,11 @@ API::
 composed, which is what lets the :class:`QueryCompiler` push work *down*
 before any value is materialised:
 
-* **predicate pushdown** — the filter is handed to the existing
-  :class:`~repro.query.scan.ScanPlanner` / morsel-driven
-  :class:`~repro.query.parallel.ParallelEngine` pipeline, so zone maps
-  prune blocks and dictionary leaves run in code space exactly as in the
-  imperative path;
+* **predicate pushdown** — the :class:`~repro.query.scan.ScanPlanner`
+  prunes blocks against their zone maps, and every surviving block runs
+  one per-block pipeline on the work-stealing
+  :class:`~repro.query.parallel.ParallelEngine` scheduler, where
+  dictionary leaves run in code space and kernels in run or word space;
 * **projection pushdown** — only the columns a node actually references
   are ever decoded; a plan without a projection materialises nothing but
   row ids;
@@ -54,7 +52,7 @@ import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -63,7 +61,7 @@ from ..errors import UnknownColumnError, ValidationError
 from ..storage.block import CompressedBlock
 from ..storage.relation import Relation
 from .kernels import DEFAULT_KERNELS, KernelRegistry
-from .parallel import ParallelEngine, resolve_workers
+from .parallel import BlockTask, ParallelEngine
 from .predicates import And, Predicate
 from .scan import (
     BlockDecision,
@@ -77,7 +75,7 @@ from .scan import (
 from .tracing import NullTracer, QueryTrace, Tracer, activate, current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .engine import Engine
+    from .engine import Engine, EngineConfig
 
 __all__ = [
     "AggregateFunction",
@@ -102,6 +100,8 @@ __all__ = [
     "QueryCompiler",
     "LazyQuery",
 ]
+
+R = TypeVar("R")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ class Var(_ColumnAggregate):
     """``var(column)`` — population variance over the qualifying rows.
 
     Carried as an exact ``(count, sum, sum of squares)`` integer triple
-    that merges across blocks and morsels by plain addition, and finalised
+    that merges across blocks and workers by plain addition, and finalised
     as ``(n·Σx² − (Σx)²) / n²`` only at output time — the inputs are
     integers, so every partial is exact and parallel merge order cannot
     change the result.  An empty selection yields ``None``.
@@ -574,15 +574,21 @@ def _finalize_partial(kind: str, value: Any) -> Any:
 
 
 class QueryCompiler:
-    """Lower logical plans onto the ScanPlanner/ParallelEngine pipeline.
+    """Lower logical plans onto one per-block pipeline.
 
-    The compiler owns (or shares) the memoizing planner and the morsel
-    engine, so repeated queries reuse zone-map decisions and the worker
-    pool.  ``use_statistics=False`` disables both pruning and stat-answered
-    aggregates (the decode-and-reduce baseline); ``use_dictionary=False``
-    disables every code-space path; ``use_kernels=False`` disables the
-    compressed-domain kernel registry (RLE run space, FOR/delta word space,
-    run-weighted aggregates and run-space group-by).
+    The compiler owns (or shares) the memoizing planner and the
+    work-stealing scheduler, so repeated queries reuse zone-map decisions
+    and the worker pool.  Every operator — select, sort, top-k, ungrouped
+    and grouped aggregation — runs the same per-block loop
+    (:meth:`_run_blocks`) and differs only in its partial body and its
+    ordered merge.  ``use_statistics=False`` disables both pruning and
+    stat-answered aggregates (the decode-and-reduce baseline);
+    ``use_dictionary=False`` disables every code-space path;
+    ``use_kernels=False`` disables the compressed-domain kernel registry
+    (RLE run space, FOR/delta word space, run-weighted aggregates and
+    run-space group-by).  ``engine`` supplies an explicit scheduler (for
+    instance one with ``stealing=False``); its planner and worker count
+    then replace ``use_statistics`` pruning and ``workers``.
     """
 
     def __init__(
@@ -591,7 +597,6 @@ class QueryCompiler:
         use_statistics: bool = True,
         workers: int | None = 1,
         use_dictionary: bool = True,
-        planner: ScanPlanner | None = None,
         engine: ParallelEngine | None = None,
         use_kernels: bool = True,
         kernels: KernelRegistry | None = None,
@@ -602,23 +607,16 @@ class QueryCompiler:
         self._use_dictionary = use_dictionary
         self._use_kernels = use_kernels
         self._kernels = kernels if kernels is not None else DEFAULT_KERNELS
-        self._workers = resolve_workers(workers)
-        self._planner = (
-            planner if planner is not None else ScanPlanner(relation, use_statistics=use_statistics)
-        )
-        self._engine = (
-            engine
-            if engine is not None
-            else ParallelEngine(
+        if engine is None:
+            engine = ParallelEngine(
                 relation,
-                workers=self._workers,
-                planner=self._planner,
-                use_dictionary=use_dictionary,
-                use_kernels=use_kernels,
-                kernels=kernels,
+                workers=workers,
+                planner=ScanPlanner(relation, use_statistics=use_statistics),
                 pool=pool,
             )
-        )
+        self._engine = engine
+        self._planner = engine.planner
+        self._workers = engine.workers
 
     @property
     def relation(self) -> Relation:
@@ -887,6 +885,139 @@ class QueryCompiler:
         lines.append(trace.render_tree())
         return lines
 
+    # -- the per-block pipeline --------------------------------------------------
+
+    def _run_blocks(
+        self,
+        compiled: CompiledQuery,
+        tasks: Sequence[BlockTask],
+        metrics: ScanMetrics,
+        partial: Callable[
+            [CompiledQuery, CompressedBlock, BlockTask, "np.ndarray | None", int, ScanMetrics], R
+        ],
+        span: str | None = None,
+        read_ahead: bool = True,
+    ) -> list[R]:
+        """Run one operator's partial body over ``tasks``; partials in task order.
+
+        The single per-block loop every operator shares.  On the
+        scheduler's workers each task gets: one read-ahead hint (the next
+        scanned block's columns), the block fetch, its qualifying-row
+        selection (:meth:`_block_selection`), then ``partial`` — which sees
+        the block, the task, the mask (``None`` = every row), the selected
+        count and the task's private metrics.  Those metrics and the
+        scheduler's steal counters are merged into ``metrics``.  ``span``
+        names a per-block trace span (aggregation); select and top-k trace
+        at operator level only.  ``read_ahead=False`` skips the hint: top-k
+        must not fetch a block its early exit may never visit.
+        """
+        hint = self._make_prefetcher(compiled, tasks) if read_ahead else None
+
+        def pipeline(task: BlockTask, counters: ScanMetrics) -> R:
+            if hint is not None:
+                hint(task.index)
+            block = self._relation.block(task.index)
+            mask, n_selected = self._block_selection(block, compiled.predicate, task.full, counters)
+            return partial(compiled, block, task, mask, n_selected, counters)
+
+        def run(task: BlockTask) -> tuple[R, ScanMetrics]:
+            counters = ScanMetrics()
+            if span is None:
+                return pipeline(task, counters), counters
+            tracer = current_tracer()
+            with tracer.span(span, block=task.index) as opened:
+                value = pipeline(task, counters)
+                if tracer.enabled:
+                    opened.annotate(rows=counters.rows_matched)
+            return value, counters
+
+        results, scheduler = self._engine.run(tasks, run)
+        metrics.merge(scheduler)
+        values: list[R] = []
+        for value, counters in results:
+            metrics.merge(counters)
+            values.append(value)
+        return values
+
+    def _block_selection(
+        self, block: CompressedBlock, predicate: Predicate | None, full: bool, partial: ScanMetrics
+    ) -> tuple[np.ndarray | None, int]:
+        """The block's qualifying-row mask (``None`` = all rows) and count."""
+        if full or predicate is None:
+            partial.rows_matched += block.n_rows
+            return None, block.n_rows
+        mask = evaluate_block_predicate(
+            block,
+            predicate,
+            metrics=partial,
+            use_dictionary=self._use_dictionary,
+            use_kernels=self._use_kernels,
+            kernels=self._kernels,
+        )
+        n_selected = int(np.count_nonzero(mask))
+        partial.rows_matched += n_selected
+        return mask, n_selected
+
+    def _make_prefetcher(
+        self, compiled: CompiledQuery, tasks: Sequence[BlockTask]
+    ) -> "Callable[[int], None] | None":
+        """A per-block read-ahead hint, or ``None``.
+
+        Each task's pipeline calls the hint with its block index; the hint
+        prefetches the *next scan-classified* block's required columns
+        (predicate + gather inputs) while the current block's kernel runs.
+        Fully-covered blocks are skipped as targets — statistics usually
+        answer them without any data, so prefetching them would waste reads.
+        """
+        prefetch = getattr(self._relation, "prefetch_block_columns", None)
+        if prefetch is None or len(tasks) < 2:
+            return None
+        columns: list[str] = []
+        if compiled.predicate is not None:
+            columns.extend(compiled.predicate.columns())
+        for name in compiled.gather_columns():
+            if name not in columns:
+                columns.append(name)
+        required = tuple(columns)
+        next_scan: dict[int, int | None] = {}
+        following: int | None = None
+        for task in reversed(tasks):
+            next_scan[task.index] = following
+            if not task.full:
+                following = task.index
+
+        def hint(index: int) -> None:
+            target = next_scan.get(index)
+            if target is not None:
+                prefetch(target, required)
+
+        return hint
+
+    def _gather_inputs(
+        self,
+        block: CompressedBlock,
+        names: Sequence[str],
+        positions: np.ndarray,
+        partial: ScanMetrics,
+    ) -> "dict[str, np.ndarray | list]":
+        """Materialise aggregate/group inputs at the selected positions.
+
+        Charged to ``rows_gathered`` (``rows_decoded`` stays a pure
+        predicate-decode counter) plus ``string_heap_decodes`` per
+        dictionary-encoded string column actually materialised.  An
+        out-of-core proxy materialises only ``names`` (plus dependency
+        closure) — column-granular on format-v3 tables.
+        """
+        with current_tracer().span("gather", rows=int(positions.size), columns=len(names)):
+            block = resolve_block(block, columns=names)
+            partial.rows_gathered += int(positions.size)
+            for name in names:
+                if isinstance(block.columns.get(name), DictEncodedStringColumn):
+                    partial.string_heap_decodes += int(positions.size)
+            return materialize_block_columns(block, names, positions)
+
+    # -- select, sort and top-k --------------------------------------------------
+
     def _execute_select(self, compiled: CompiledQuery) -> PlanResult:
         metrics: ScanMetrics | None
         if compiled.order_by is not None and compiled.limit is not None:
@@ -898,7 +1029,7 @@ class QueryCompiler:
                 row_ids = np.arange(self._relation.n_rows, dtype=np.int64)
                 metrics = None
             else:
-                row_ids, metrics = self._engine.scan(compiled.predicate)
+                row_ids, metrics = self._scan_row_ids(compiled)
             if compiled.order_by is not None:
                 row_ids = self._sorted_row_ids(compiled, row_ids)
             if compiled.limit is not None:
@@ -913,7 +1044,21 @@ class QueryCompiler:
             )
         return PlanResult(columns=columns, row_ids=row_ids, metrics=metrics)
 
-    # -- ordering and top-k ------------------------------------------------------
+    def _scan_row_ids(self, compiled: CompiledQuery) -> tuple[np.ndarray, ScanMetrics]:
+        """Global row ids satisfying the predicate, ascending, plus metrics."""
+        tracer = current_tracer()
+        with tracer.span("scan") as span:
+            tasks, metrics = self._engine.classify(compiled.predicate)
+            parts = self._run_blocks(compiled, tasks, metrics, _row_ids_partial)
+            if tracer.enabled:
+                span.annotate(
+                    rows=metrics.rows_matched,
+                    blocks=metrics.blocks_scanned,
+                    stolen=metrics.morsels_stolen,
+                )
+            if not parts:
+                return np.zeros(0, dtype=np.int64), metrics
+            return np.concatenate(parts), metrics
 
     def _sorted_row_ids(self, compiled: CompiledQuery, row_ids: np.ndarray) -> np.ndarray:
         """``row_ids`` reordered by the sort column (full materialise-and-sort).
@@ -957,14 +1102,10 @@ class QueryCompiler:
         k = compiled.limit if compiled.limit is not None else 0
         tracer = current_tracer()
         with tracer.span("topk", column=column, k=k) as span:
-            scan_items, full_items, metrics = self._engine.classify(compiled.predicate)
-            entries = sorted(
-                [(index, offset, False) for index, offset in scan_items]
-                + [(index, offset, True) for index, offset in full_items]
-            )
-            if k == 0 or not entries:
-                for index, _, full in entries:
-                    self._reclassify_pruned(metrics, full)
+            tasks, metrics = self._engine.classify(compiled.predicate)
+            if k == 0 or not tasks:
+                for task in tasks:
+                    self._reclassify_pruned(metrics, task.full)
                 return np.zeros(0, dtype=np.int64), metrics
 
             def bound(index: int) -> "int | str | None":
@@ -978,7 +1119,7 @@ class QueryCompiler:
                 # so ordering/stopping on them is safe — merely less tight.
                 return stats.max_value if compiled.descending else stats.min_value
 
-            bounds = [bound(index) for index, _, _ in entries]
+            bounds = [bound(task.index) for task in tasks]
             # Unknown bounds first (they must always be visited), then most
             # promising first.  The sign flip makes "promising" uniform.
             sign = -1 if compiled.descending else 1
@@ -993,15 +1134,15 @@ class QueryCompiler:
                 # String bounds cannot be sign-flipped; sort descending ones
                 # separately (None-first is preserved by the stable sort).
                 order = sorted(
-                    range(len(entries)),
+                    range(len(tasks)),
                     key=lambda p: (bounds[p] is not None, bounds[p] or ""),
                 )
                 known = [p for p in order if bounds[p] is not None]
                 order = [p for p in order if bounds[p] is None] + known[::-1]
             else:
-                order = sorted(range(len(entries)), key=visit_key)
+                order = sorted(range(len(tasks)), key=visit_key)
 
-            wave = max(1, min(self._workers, len(entries)))
+            wave = max(1, min(self._workers, len(tasks)))
             candidates: list[tuple[Any, int]] = []
             position = 0
             while position < len(order):
@@ -1014,18 +1155,17 @@ class QueryCompiler:
                         break
                 batch = order[position : position + wave]
                 position += len(batch)
-                results = self._engine.map_items(
-                    [entries[p] for p in batch],
-                    lambda entry: self._topk_block(
-                        compiled, entry[0], entry[1], entry[2], k
-                    ),
-                )
-                for pairs, partial in results:
-                    metrics.merge(partial)
+                for pairs in self._run_blocks(
+                    compiled,
+                    [tasks[p] for p in batch],
+                    metrics,
+                    self._topk_partial,
+                    read_ahead=False,
+                ):
                     candidates.extend(pairs)
                 candidates = _topk_pairs(candidates, k, compiled.descending)
             for p in order[position:]:
-                self._reclassify_pruned(metrics, entries[p][2])
+                self._reclassify_pruned(metrics, tasks[p].full)
             if tracer.enabled:
                 span.annotate(
                     rows=len(candidates),
@@ -1046,15 +1186,16 @@ class QueryCompiler:
             metrics.blocks_scanned -= 1
         metrics.blocks_pruned += 1
 
-    def _topk_block(
+    def _topk_partial(
         self,
         compiled: CompiledQuery,
-        index: int,
-        offset: int,
-        full: bool,
-        k: int,
-    ) -> tuple[list[tuple[Any, int]], ScanMetrics]:
-        """Worker body: one block's ``k`` best ``(key, global row id)`` pairs.
+        block: CompressedBlock,
+        task: BlockTask,
+        mask: np.ndarray | None,
+        n_selected: int,
+        partial: ScanMetrics,
+    ) -> list[tuple[Any, int]]:
+        """One block's ``k`` best ``(key, global row id)`` pairs.
 
         The pairs come back already in final rank order.  An RLE sort
         column answers in run space — each run contributes its value once
@@ -1062,13 +1203,12 @@ class QueryCompiler:
         key column is gathered at the selected positions and ranked with a
         stable bounded sort.
         """
-        block = self._relation.block(index)
-        partial = ScanMetrics()
-        mask, n_selected = self._block_selection(block, compiled.predicate, full, partial)
         if n_selected == 0:
-            return [], partial
+            return []
         column = compiled.order_by
-        assert column is not None
+        assert column is not None and compiled.limit is not None
+        k = compiled.limit
+        offset = task.offset
         if self._use_kernels:
             resolved = resolve_block(block, columns=(column,))
             kernel_mask = mask if mask is not None else np.ones(resolved.n_rows, dtype=bool)
@@ -1078,10 +1218,7 @@ class QueryCompiler:
             if run_space is not None:
                 values, positions = run_space
                 partial.rows_kernel_aggregated += n_selected
-                return (
-                    [(int(v), int(offset + p)) for v, p in zip(values, positions)],
-                    partial,
-                )
+                return [(int(v), int(offset + p)) for v, p in zip(values, positions)]
             block = resolved
         positions = np.arange(block.n_rows) if mask is None else np.flatnonzero(mask)
         gathered = self._gather_inputs(block, (column,), positions, partial)
@@ -1089,134 +1226,33 @@ class QueryCompiler:
         if isinstance(keys, np.ndarray):
             sort_keys = -keys if compiled.descending else keys
             best = np.argsort(sort_keys, kind="stable")[:k]
-            return (
-                [(int(keys[i]), int(offset + positions[i])) for i in best],
-                partial,
-            )
+            return [(int(keys[i]), int(offset + positions[i])) for i in best]
         pairs = list(zip(keys, (positions + offset).tolist()))
         if compiled.descending:
             # ``nlargest`` with a key is documented equivalent to a stable
             # reverse sort, so ties keep ascending (row) input order.
-            return heapq.nlargest(k, pairs, key=lambda pair: pair[0]), partial
-        return heapq.nsmallest(k, pairs), partial
+            return heapq.nlargest(k, pairs, key=lambda pair: pair[0])
+        return heapq.nsmallest(k, pairs)
 
     # -- aggregate execution ---------------------------------------------------
 
-    def _classify_blocks(
-        self, predicate: Predicate | None
-    ) -> tuple[list[tuple[int, bool]], ScanMetrics]:
-        """Plan the scan: ``(block index, fully covered)`` tasks + metrics.
-
-        Delegates to the engine's shared classification step, so the
-        aggregate path's block decisions and metrics pre-fill can never
-        diverge from the scan path's.
-        """
-        scan_items, full_items, metrics = self._engine.classify(predicate)
-        tasks = sorted(
-            [(index, False) for index, _ in scan_items]
-            + [(index, True) for index, _ in full_items]
-        )
-        return tasks, metrics
-
-    def _block_selection(
-        self, block: CompressedBlock, predicate: Predicate | None, full: bool, partial: ScanMetrics
-    ) -> tuple[np.ndarray | None, int]:
-        """The block's qualifying-row mask (``None`` = all rows) and count."""
-        if full or predicate is None:
-            partial.rows_matched += block.n_rows
-            return None, block.n_rows
-        mask = evaluate_block_predicate(
-            block,
-            predicate,
-            metrics=partial,
-            use_dictionary=self._use_dictionary,
-            use_kernels=self._use_kernels,
-        )
-        n_selected = int(np.count_nonzero(mask))
-        partial.rows_matched += n_selected
-        return mask, n_selected
-
-    def _gather_inputs(
-        self,
-        block: CompressedBlock,
-        names: Sequence[str],
-        positions: np.ndarray,
-        partial: ScanMetrics,
-    ) -> "dict[str, np.ndarray | list]":
-        """Materialise aggregate/group inputs at the selected positions.
-
-        Charged to ``rows_gathered`` (``rows_decoded`` stays a pure
-        predicate-decode counter) plus ``string_heap_decodes`` per
-        dictionary-encoded string column actually materialised.  An
-        out-of-core proxy materialises only ``names`` (plus dependency
-        closure) — column-granular on format-v3 tables.
-        """
-        with current_tracer().span("gather", rows=int(positions.size), columns=len(names)):
-            block = resolve_block(block, columns=names)
-            partial.rows_gathered += int(positions.size)
-            for name in names:
-                if isinstance(block.columns.get(name), DictEncodedStringColumn):
-                    partial.string_heap_decodes += int(positions.size)
-            return materialize_block_columns(block, names, positions)
-
-    def _make_prefetcher(
-        self, compiled: CompiledQuery, tasks: list[tuple[int, bool]]
-    ) -> "Callable[[int], None] | None":
-        """A per-block read-ahead hint for the aggregate path, or ``None``.
-
-        Each task's worker body calls the hint with its block index; the
-        hint prefetches the *next scan-classified* block's required columns
-        (predicate + gather inputs) while the current block's kernel runs.
-        Fully-covered blocks are skipped as targets — statistics usually
-        answer them without any data, so prefetching them would waste reads.
-        """
-        prefetch = getattr(self._relation, "prefetch_block_columns", None)
-        if prefetch is None or len(tasks) < 2:
-            return None
-        columns: list[str] = []
-        if compiled.predicate is not None:
-            columns.extend(compiled.predicate.columns())
-        for name in compiled.gather_columns():
-            if name not in columns:
-                columns.append(name)
-        required = tuple(columns)
-        next_scan: dict[int, int | None] = {}
-        following: int | None = None
-        for index, full in reversed(tasks):
-            next_scan[index] = following
-            if not full:
-                following = index
-
-        def hint(index: int) -> None:
-            target = next_scan.get(index)
-            if target is not None:
-                prefetch(target, required)
-
-        return hint
-
     def _execute_aggregate(self, compiled: CompiledQuery) -> PlanResult:
-        tasks, metrics = self._classify_blocks(compiled.predicate)
-        prefetcher = self._make_prefetcher(compiled, tasks)
+        tasks, metrics = self._engine.classify(compiled.predicate)
         if compiled.group_by:
-            return self._run_grouped(compiled, tasks, metrics, prefetcher)
-        return self._run_ungrouped(compiled, tasks, metrics, prefetcher)
+            return self._run_grouped(compiled, tasks, metrics)
+        return self._run_ungrouped(compiled, tasks, metrics)
 
     # .. ungrouped ..............................................................
 
     def _run_ungrouped(
-        self,
-        compiled: CompiledQuery,
-        tasks: list[tuple[int, bool]],
-        metrics: ScanMetrics,
-        prefetcher: "Callable[[int], None] | None" = None,
+        self, compiled: CompiledQuery, tasks: Sequence[BlockTask], metrics: ScanMetrics
     ) -> PlanResult:
         aggs = compiled.aggregates
-        results = self._engine.map_items(
-            tasks, lambda task: self._ungrouped_block(compiled, task[0], task[1], prefetcher)
+        states = self._run_blocks(
+            compiled, tasks, metrics, self._ungrouped_partial, span="aggregate"
         )
         totals: list = [None] * len(aggs)
-        for state, partial in results:
-            metrics.merge(partial)
+        for state in states:
             for slot, (_, fn) in enumerate(aggs):
                 totals[slot] = _merge_partial(fn.kind, totals[slot], state[slot])
         columns: dict[str, "np.ndarray | list"] = {}
@@ -1229,33 +1265,16 @@ class QueryCompiler:
             columns = {name: values[: compiled.limit] for name, values in columns.items()}
         return PlanResult(columns=columns, row_ids=None, metrics=metrics)
 
-    def _ungrouped_block(
+    def _ungrouped_partial(
         self,
         compiled: CompiledQuery,
-        index: int,
-        full: bool,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> tuple[list, ScanMetrics]:
-        """Worker body: one block's partial aggregate values plus metrics."""
-        tracer = current_tracer()
-        with tracer.span("aggregate", block=index) as span:
-            state, partial = self._ungrouped_block_inner(compiled, index, full, prefetcher)
-            if tracer.enabled:
-                span.annotate(rows=partial.rows_matched)
-            return state, partial
-
-    def _ungrouped_block_inner(
-        self,
-        compiled: CompiledQuery,
-        index: int,
-        full: bool,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> tuple[list, ScanMetrics]:
-        if prefetcher is not None:
-            prefetcher(index)
-        block = self._relation.block(index)
-        partial = ScanMetrics()
-        mask, n_selected = self._block_selection(block, compiled.predicate, full, partial)
+        block: CompressedBlock,
+        task: BlockTask,
+        mask: np.ndarray | None,
+        n_selected: int,
+        partial: ScanMetrics,
+    ) -> list:
+        """One block's partial aggregate values, one per output slot."""
         aggs = compiled.aggregates
         state: list = [None] * len(aggs)
         pending: list[int] = []
@@ -1264,7 +1283,7 @@ class QueryCompiler:
                 state[slot] = n_selected
             elif n_selected == 0:
                 state[slot] = 0 if fn.kind == "sum" else _NO_VALUE
-            elif full and self._use_statistics:
+            elif task.full and self._use_statistics:
                 # Aggregation pushdown: a fully-covered block aggregates all
                 # of its rows, so exact zone-map statistics answer the
                 # reduction without decoding anything.  An avg is the block's
@@ -1314,25 +1333,20 @@ class QueryCompiler:
             for slot in pending:
                 fn = aggs[slot][1]
                 state[slot] = _reduce_values(fn.kind, gathered[fn.column])
-        return state, partial
+        return state
 
     # .. grouped ................................................................
 
     def _run_grouped(
-        self,
-        compiled: CompiledQuery,
-        tasks: list[tuple[int, bool]],
-        metrics: ScanMetrics,
-        prefetcher: "Callable[[int], None] | None" = None,
+        self, compiled: CompiledQuery, tasks: Sequence[BlockTask], metrics: ScanMetrics
     ) -> PlanResult:
         aggs = compiled.aggregates
-        results = self._engine.map_items(
-            tasks, lambda task: self._grouped_block(compiled, task[0], task[1], prefetcher)
+        results = self._run_blocks(
+            compiled, tasks, metrics, self._grouped_partial, span="aggregate"
         )
         merged: dict = {}
         any_code_space = False
-        for groups, used_code_space, partial in results:
-            metrics.merge(partial)
+        for groups, used_code_space in results:
             any_code_space = any_code_space or used_code_space
             for key, state in groups.items():
                 existing = merged.get(key)
@@ -1372,37 +1386,21 @@ class QueryCompiler:
                 }
         return PlanResult(columns=columns, row_ids=None, metrics=metrics)
 
-    def _grouped_block(
+    def _grouped_partial(
         self,
         compiled: CompiledQuery,
-        index: int,
-        full: bool,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> tuple[dict, bool, ScanMetrics]:
-        """Worker body: one block's per-group partial states plus metrics."""
+        block: CompressedBlock,
+        task: BlockTask,
+        mask: np.ndarray | None,
+        n_selected: int,
+        partial: ScanMetrics,
+    ) -> tuple[dict, bool]:
+        """One block's per-group partial states, and whether it grouped in
+        dictionary code space (its string keys are then undecoded bytes)."""
         tracer = current_tracer()
-        with tracer.span("aggregate", block=index) as span:
-            groups, used_code_space, partial = self._grouped_block_inner(
-                compiled, index, full, prefetcher
-            )
-            if tracer.enabled:
-                span.annotate(rows=partial.rows_matched, groups=len(groups))
-            return groups, used_code_space, partial
-
-    def _grouped_block_inner(
-        self,
-        compiled: CompiledQuery,
-        index: int,
-        full: bool,
-        prefetcher: "Callable[[int], None] | None" = None,
-    ) -> tuple[dict, bool, ScanMetrics]:
-        if prefetcher is not None:
-            prefetcher(index)
-        block = self._relation.block(index)
-        partial = ScanMetrics()
-        mask, n_selected = self._block_selection(block, compiled.predicate, full, partial)
         if n_selected == 0:
-            return {}, False, partial
+            tracer.annotate(groups=0)
+            return {}, False
         # Grouping always touches block data from here on; materialise an
         # out-of-core proxy once — column-granular tables fetch only the
         # group keys and aggregate inputs.
@@ -1473,7 +1471,22 @@ class QueryCompiler:
             else:
                 for g, value in zip(inverse, values):
                     states[g][slot] = _merge_partial(fn.kind, states[g][slot], value)
-        return dict(zip(keys, states)), used_code_space, partial
+        tracer.annotate(groups=n_groups)
+        return dict(zip(keys, states)), used_code_space
+
+
+def _row_ids_partial(
+    compiled: CompiledQuery,
+    block: CompressedBlock,
+    task: BlockTask,
+    mask: np.ndarray | None,
+    n_selected: int,
+    partial: ScanMetrics,
+) -> np.ndarray:
+    """One block's qualifying global row ids (select and sort)."""
+    if mask is None:
+        return np.arange(task.offset, task.offset + block.n_rows, dtype=np.int64)
+    return np.flatnonzero(mask) + task.offset
 
 
 def _python_group_keys(group_by: tuple[str, ...], gathered: dict) -> tuple[list, np.ndarray]:
@@ -1615,33 +1628,26 @@ class LazyQuery:
         )
         by_tag = relation.query().group_by("tag").agg(n=Count()).execute()
 
-    ``workers``/``use_statistics``/``use_dictionary``/``use_kernels``
-    mirror the :class:`~repro.query.executor.QueryExecutor` knobs and are
-    fixed when the chain starts (via
-    :meth:`~repro.storage.relation.Relation.query`).  A chain started from
-    a shared :class:`~repro.query.engine.Engine` (``engine=``) takes its
-    settings — and, crucially, its memoized compiler, worker pool and
-    kernel registry — from the engine instead.  The metrics of the most
-    recent terminal run on *this* chain link are available as
-    :attr:`last_metrics`.
+    The chain runs under the :class:`~repro.query.engine.EngineConfig` it
+    is given (``config=``; defaults apply when omitted), fixed when the
+    chain starts (via :meth:`~repro.storage.relation.Relation.query`).  A
+    chain started from a shared :class:`~repro.query.engine.Engine`
+    (``engine=``) takes its settings — and, crucially, its memoized
+    compiler, worker pool and kernel registry — from the engine instead.
+    The metrics of the most recent terminal run on *this* chain link are
+    available as :attr:`last_metrics`.
     """
 
     def __init__(
         self,
         relation: Relation,
-        workers: int | None = 1,
-        use_statistics: bool = True,
-        use_dictionary: bool = True,
-        use_kernels: bool = True,
+        config: "EngineConfig | None" = None,
         engine: "Engine | None" = None,
         _spec: _QuerySpec | None = None,
         _compiler_box: "list[QueryCompiler | None] | None" = None,
     ) -> None:
         self._relation = relation
-        self._workers = workers
-        self._use_statistics = use_statistics
-        self._use_dictionary = use_dictionary
-        self._use_kernels = use_kernels
+        self._config = config
         self._engine = engine
         self._spec = _spec if _spec is not None else _QuerySpec()
         #: One compiler per chain, created on the first terminal and shared
@@ -1649,8 +1655,7 @@ class LazyQuery:
         #: (the single-slot box is what all links alias, so links diverging
         #: before the first terminal still share it): repeated terminals
         #: keep the planner's zone-map memo warm and reuse the engine's
-        #: worker pool (idle threads are joined at interpreter shutdown, as
-        #: for QueryExecutor).
+        #: worker pool (idle threads are joined at interpreter shutdown).
         self._compiler_box = _compiler_box if _compiler_box is not None else [None]
         self._last_metrics: ScanMetrics | None = None
 
@@ -1659,10 +1664,7 @@ class LazyQuery:
     def _chain(self, **changes: Any) -> "LazyQuery":
         return LazyQuery(
             self._relation,
-            workers=self._workers,
-            use_statistics=self._use_statistics,
-            use_dictionary=self._use_dictionary,
-            use_kernels=self._use_kernels,
+            config=self._config,
             engine=self._engine,
             _spec=replace(self._spec, **changes),
             _compiler_box=self._compiler_box,
@@ -1796,12 +1798,16 @@ class LazyQuery:
             # registry) with every other query on the same relation.
             return self._engine.compiler_for(self._relation)
         if self._compiler_box[0] is None:
+            # Imported here: engine.py imports this module.
+            from .engine import EngineConfig
+
+            config = self._config if self._config is not None else EngineConfig()
             self._compiler_box[0] = QueryCompiler(
                 self._relation,
-                use_statistics=self._use_statistics,
-                workers=self._workers,
-                use_dictionary=self._use_dictionary,
-                use_kernels=self._use_kernels,
+                use_statistics=config.use_statistics,
+                workers=config.workers,
+                use_dictionary=config.use_dictionary,
+                use_kernels=config.use_kernels,
             )
         return self._compiler_box[0]
 
@@ -1857,9 +1863,8 @@ class LazyQuery:
     def close(self) -> None:
         """Release the chain's worker threads, if any were started.
 
-        Optional, exactly like :meth:`QueryExecutor.close`: serial chains
-        never start a pool, and parallel pools are joined at interpreter
-        shutdown anyway.  The chain stays usable afterwards.  Engine-bound
+        Optional: serial chains never start a pool, and parallel pools are
+        joined at interpreter shutdown anyway.  The chain stays usable afterwards.  Engine-bound
         chains own nothing — the engine's shared state is left untouched
         (close the :class:`~repro.query.engine.Engine` itself instead).
         """

@@ -230,10 +230,10 @@ class ScanMetrics:
     dispatch, a non-monotonic delta column, a non-integer constant — i.e.
     why a block fell off the fast path and decoded instead.
 
-    The scheduler counters account the work-stealing morsel scheduler:
+    The scheduler counters account the work-stealing scheduler:
     ``steal_attempts`` counts probes of another worker's deque by a
     drained worker, ``morsels_stolen`` the probes that actually took a
-    morsel.  Both stay zero under serial execution or a perfectly
+    per-block task.  Both stay zero under serial execution or a perfectly
     balanced parallel scan.
     """
 
@@ -258,7 +258,7 @@ class ScanMetrics:
     def merge(self, other: "ScanMetrics") -> "ScanMetrics":
         """Fold another metrics object (covering disjoint work) into this one.
 
-        Used by the parallel engine to combine per-morsel worker metrics;
+        Used by the parallel engine to combine per-task worker metrics;
         every counter is summed, so each block/row must be accounted for by
         exactly one of the merged objects.
         """

@@ -30,7 +30,7 @@ Request lifecycle::
           │   └─ miss
           ▼
         ENGINE  (shared repro.query.Engine)
-          │   LazyQuery over the memoized compiler; morsels fan out on
+          │   LazyQuery over the memoized compiler; per-block tasks fan out on
           │   the shared worker pool; wall-clock timeout ──▶ 504
           ▼
         METRICS  (metrics.ServerMetrics)

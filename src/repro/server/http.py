@@ -134,7 +134,9 @@ class CorraHttpServer:
                 return _response(405, {"error": "use POST for /query"})
             try:
                 payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                # RecursionError: a body nested deeper than the decoder's
+                # stack allows.
                 return _response(400, {"error": f"invalid JSON body: {exc}"})
             loop = asyncio.get_running_loop()
             try:

@@ -54,6 +54,11 @@ from ..query.predicates import And, Between, Eq, In, Not, Or, Predicate
 
 __all__ = ["QueryRequest", "build_query", "encode_result", "parse_predicate", "parse_request"]
 
+#: Deepest predicate nesting a request may carry (a leaf is depth 1).
+#: Parsing, planning and evaluation each recurse once per level, so an
+#: unbounded body could exhaust the interpreter stack on a request thread.
+MAX_PREDICATE_DEPTH = 64
+
 _REQUEST_KEYS = {
     "table",
     "where",
@@ -106,8 +111,17 @@ def parse_predicate(node: object) -> Predicate:
     """A JSON predicate node as a :class:`~repro.query.predicates.Predicate`.
 
     Ops: ``eq`` (column, value), ``between`` (column, lo, hi), ``in``
-    (column, values), ``and``/``or`` (children), ``not`` (child).
+    (column, values), ``and``/``or`` (children), ``not`` (child).  Trees
+    nested deeper than :data:`MAX_PREDICATE_DEPTH` are rejected.
     """
+    return _parse_predicate(node, 1)
+
+
+def _parse_predicate(node: object, depth: int) -> Predicate:
+    _expect(
+        depth <= MAX_PREDICATE_DEPTH,
+        f"predicate nesting exceeds {MAX_PREDICATE_DEPTH} levels",
+    )
     _expect(isinstance(node, dict), "predicate nodes must be JSON objects")
     assert isinstance(node, dict)
     op = node.get("op")
@@ -134,11 +148,11 @@ def parse_predicate(node: object) -> Predicate:
             isinstance(children, list) and len(children) >= 2,
             f"{op!r} predicate needs a 'children' list with at least two nodes",
         )
-        parsed = [parse_predicate(child) for child in children]
+        parsed = [_parse_predicate(child, depth + 1) for child in children]
         return And(*parsed) if op == "and" else Or(*parsed)
     if op == "not":
         _expect("child" in node, "'not' predicate needs a 'child' node")
-        return Not(parse_predicate(node["child"]))
+        return Not(_parse_predicate(node["child"], depth + 1))
     raise ValidationError(f"unknown predicate op {op!r}")
 
 

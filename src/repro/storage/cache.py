@@ -7,7 +7,7 @@ get_or_load`, so a table larger than RAM is queryable with bounded resident
 bytes — the working set is whatever survived pruning, trimmed to the budget.
 
 The cache is thread-safe and *single-flight*: when several workers of the
-morsel-driven engine fault the same block concurrently, exactly one of them
+parallel engine fault the same block concurrently, exactly one of them
 runs the loader while the others wait for its result; loads of *different*
 blocks proceed in parallel (the loader runs outside the cache lock).  An
 entry larger than the whole budget is returned to the caller but never

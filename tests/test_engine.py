@@ -1,8 +1,6 @@
-"""The shared Engine: config consolidation, memoized state, deprecations."""
+"""The shared Engine: config consolidation and memoized state."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ import pytest
 from repro.core import CompressionPlan, TableCompressor
 from repro.dtypes import INT64, STRING
 from repro.errors import ValidationError
-from repro.query import Count, Engine, EngineConfig, Eq, QueryExecutor, Sum
+from repro.query import Count, Engine, EngineConfig, Eq, Sum
 from repro.storage import Catalog, Table
 
 
@@ -97,11 +95,10 @@ class TestEngineSharedState:
     def test_executor_adapter_shares_compiler(self):
         relation = _relation()
         with Engine() as engine:
-            executor = engine.executor(relation)
-            assert executor.compiler is engine.compiler_for(relation)
-            assert executor.count(Eq("tag", "tag_2")) == relation.query().where(
-                Eq("tag", "tag_2")
-            ).count()
+            query = engine.query(relation)
+            assert query._compiler() is engine.compiler_for(relation)
+            predicate = Eq("tag", "tag_2")
+            assert query.where(predicate).count() == relation.query().where(predicate).count()
 
     def test_closed_engine_rejects_use(self):
         engine = Engine()
@@ -139,42 +136,3 @@ class TestEngineCatalog:
         with Engine() as engine:
             with pytest.raises(ValidationError, match="no catalog"):
                 engine.table("t")
-
-
-class TestDeprecatedKeywordPaths:
-    def test_relation_query_legacy_kwargs_warn_but_work(self):
-        relation = _relation()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning => this raises nothing
-            modern = relation.query(config=EngineConfig(use_kernels=False))
-        with pytest.warns(DeprecationWarning, match="Relation.query"):
-            legacy = relation.query(use_kernels=False)
-        assert legacy.where(Eq("v", 3)).count() == modern.where(Eq("v", 3)).count()
-
-    def test_executor_legacy_kwargs_warn_but_work(self):
-        relation = _relation()
-        with pytest.warns(DeprecationWarning, match="QueryExecutor"):
-            legacy = QueryExecutor(relation, workers=2)
-        modern = QueryExecutor(relation, config=EngineConfig(workers=2))
-        np.testing.assert_array_equal(
-            legacy.filter(Eq("tag", "tag_3")), modern.filter(Eq("tag", "tag_3"))
-        )
-        legacy.close()
-        modern.close()
-
-    def test_legacy_and_modern_kwargs_are_mutually_exclusive(self):
-        relation = _relation()
-        with pytest.raises(ValidationError, match="not both"):
-            relation.query(workers=2, config=EngineConfig())
-        with pytest.raises(ValidationError, match="not both"):
-            QueryExecutor(relation, workers=2, config=EngineConfig())
-        with Engine() as engine:
-            with pytest.raises(ValidationError, match="not both"):
-                relation.query(use_kernels=False, engine=engine)
-
-    def test_engine_bound_query_does_not_warn(self):
-        relation = _relation()
-        with Engine() as engine:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert relation.query(engine=engine).where(Eq("v", 1)).count() >= 0

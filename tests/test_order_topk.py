@@ -34,6 +34,7 @@ from repro.query import (
     Count,
     EngineConfig,
     Eq,
+    Filter,
     Limit,
     Min,
     Project,
@@ -210,19 +211,15 @@ class TestWorkStealing:
 
     def test_stealing_off_reports_no_steals(self):
         from repro.query.parallel import ParallelEngine
-        from repro.query.scan import ScanPlanner
 
         skewed = self._skewed_relation()
-        engine = ParallelEngine(
-            skewed, planner=ScanPlanner(skewed), workers=2, stealing=False
-        )
-        try:
-            row_ids, metrics = engine.scan(self._slow_predicate())
-        finally:
-            engine.close()
+        engine = ParallelEngine(skewed, workers=2, stealing=False)
+        with QueryCompiler(skewed, engine=engine) as compiler:
+            result = compiler.execute(Filter(Scan(skewed), self._slow_predicate()))
+        metrics = result.metrics
         assert metrics.morsels_stolen == 0
         assert metrics.steal_attempts == 0
-        assert len(row_ids) == skewed.n_rows
+        assert len(result.row_ids) == skewed.n_rows
 
     def test_serial_execution_never_steals(self, relation):
         result = relation.query().where(Between("v", 0, 499)).select("v").execute()

@@ -32,7 +32,7 @@ from repro.encodings import (
     FrequencyEncoding,
     RleEncoding,
 )
-from repro.query import And, Between, Eq, In, Or, QueryExecutor
+from repro.query import And, Between, EngineConfig, Eq, In, Or
 from repro.storage import Table
 
 # Bounded 64-bit signed integers that never overflow when differenced.
@@ -248,14 +248,14 @@ class TestScanPruningProperties:
             )
         )
 
-        pruned = QueryExecutor(relation)
-        brute = QueryExecutor(relation, use_statistics=False)
+        pruned = relation.query().where(predicate)
+        brute = relation.query(config=EngineConfig(use_statistics=False)).where(predicate)
         raw = {"a": reference, "b": target}
         expected = np.flatnonzero(predicate.evaluate(raw))
-        assert np.array_equal(pruned.filter(predicate), expected)
-        assert np.array_equal(brute.filter(predicate), expected)
-        assert pruned.count(predicate) == expected.size
-        assert pruned.last_scan_metrics.rows_decoded <= brute.last_scan_metrics.rows_total
+        assert np.array_equal(pruned.execute().row_ids, expected)
+        assert np.array_equal(brute.execute().row_ids, expected)
+        assert pruned.count() == expected.size
+        assert pruned.last_metrics.rows_decoded <= brute.last_metrics.rows_total
 
 
 class TestOptimizerProperties:

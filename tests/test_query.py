@@ -1,4 +1,4 @@
-"""Unit tests for selection vectors, scans, the executor, and latency harness."""
+"""Unit tests for selection vectors, scans, lazy queries, and latency harness."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.errors import UnknownColumnError, ValidationError
 from repro.query import (
     PAPER_SELECTIVITIES,
     Predicate,
-    QueryExecutor,
     generate_selection_vector,
     generate_selection_vectors,
     latency_ratio,
@@ -118,26 +117,31 @@ class TestMaterialization:
 
 class TestQueryExecutor:
     @pytest.fixture
-    def executor(self, dates_schema_table):
+    def dates_relation(self, dates_schema_table):
         relation = TableCompressor(block_size=300).compress(dates_schema_table)
-        return QueryExecutor(relation), dates_schema_table
+        return relation, dates_schema_table
 
-    def test_filter_equals(self, executor):
-        ex, table = executor
+    def test_filter_equals(self, dates_relation):
+        relation, table = dates_relation
         ship = table.column("ship")
         target = int(ship[17])
-        rows = ex.filter(Predicate.equals("ship", target))
+        rows = relation.query().where(Predicate.equals("ship", target)).execute().row_ids
         assert np.array_equal(rows, np.flatnonzero(ship == target))
 
-    def test_filter_between(self, executor):
-        ex, table = executor
+    def test_filter_between(self, dates_relation):
+        relation, table = dates_relation
         ship = table.column("ship")
-        rows = ex.filter(Predicate.between("ship", 8_100, 8_200))
+        rows = relation.query().where(Predicate.between("ship", 8_100, 8_200)).execute().row_ids
         assert np.array_equal(rows, np.flatnonzero((ship >= 8_100) & (ship <= 8_200)))
 
-    def test_select_with_predicate(self, executor):
-        ex, table = executor
-        result = ex.select(["receipt"], Predicate.between("ship", 8_100, 8_110))
+    def test_select_with_predicate(self, dates_relation):
+        relation, table = dates_relation
+        result = (
+            relation.query()
+            .where(Predicate.between("ship", 8_100, 8_110))
+            .select("receipt")
+            .execute()
+        )
         expected_rows = np.flatnonzero(
             (table.column("ship") >= 8_100) & (table.column("ship") <= 8_110)
         )
@@ -146,27 +150,26 @@ class TestQueryExecutor:
             result.column("receipt"), table.column("receipt")[expected_rows]
         )
 
-    def test_select_without_predicate_returns_everything(self, executor):
-        ex, table = executor
-        result = ex.select(["ship"])
+    def test_select_without_predicate_returns_everything(self, dates_relation):
+        relation, table = dates_relation
+        result = relation.query().select("ship").execute()
         assert result.n_rows == table.n_rows
 
-    def test_count(self, executor):
-        ex, table = executor
-        assert ex.count(Predicate.between("ship", 8_000, 8_499)) == 500
+    def test_count(self, dates_relation):
+        relation, _ = dates_relation
+        assert relation.query().where(Predicate.between("ship", 8_000, 8_499)).count() == 500
 
     def test_is_in_predicate_on_strings(self):
         table = Table.from_columns(
             [("s", STRING, ["a", "b", "c", "a", "b"])]
         )
         relation = TableCompressor(block_size=5).compress(table)
-        ex = QueryExecutor(relation)
-        assert ex.count(Predicate.is_in("s", ["a", "c"])) == 3
+        assert relation.query().where(Predicate.is_in("s", ["a", "c"])).count() == 3
 
-    def test_unknown_predicate_column(self, executor):
-        ex, _ = executor
+    def test_unknown_predicate_column(self, dates_relation):
+        relation, _ = dates_relation
         with pytest.raises(UnknownColumnError):
-            ex.filter(Predicate.equals("nope", 1))
+            relation.query().where(Predicate.equals("nope", 1)).execute()
 
 
 class TestLatencyHarness:

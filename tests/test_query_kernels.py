@@ -3,7 +3,7 @@
 The contract under test: every kernel in :mod:`repro.query.kernels` is
 *exact* — with kernels on, filters, aggregates, group-bys and materialised
 selections are bit-identical to the decode-then-compare baseline
-(``use_kernels=False``), serial and parallel alike, over every vertical
+(``EngineConfig(use_kernels=False)``), serial and parallel alike, over every vertical
 encoding and with outlier-bearing horizontal columns in the mix (which the
 registry must decline, falling back to decode).
 """
@@ -21,8 +21,11 @@ from repro.query import (
     Avg,
     Between,
     Count,
+    Engine,
+    EngineConfig,
     Eq,
     In,
+    KernelRegistry,
     Max,
     Min,
     Not,
@@ -35,6 +38,8 @@ from repro.storage import DiskRelation, Table, write_table
 #: Every vertical scheme a kernel serves, plus dictionary (own code-space
 #: path) and plain (no kernel at all) as controls.
 SCHEMES = ("rle", "delta", "frequency", "for_bitpack", "dictionary", "plain")
+#: The decode-then-compare baseline every kernel must match.
+NO_KERNELS = EngineConfig(use_kernels=False)
 
 
 def compress(table, block_size=256, scheme=None):
@@ -56,8 +61,8 @@ def single_column_relation(values, scheme, block_size=256):
 def assert_query_parity(relation, predicate):
     """Kernel-on (serial + parallel) results equal the decode baseline."""
     kernel = relation.query().where(predicate)
-    parallel = relation.query(workers=2).where(predicate)
-    baseline = relation.query(use_kernels=False).where(predicate)
+    parallel = relation.query(config=EngineConfig(workers=2)).where(predicate)
+    baseline = relation.query(config=NO_KERNELS).where(predicate)
 
     agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"))
     got = kernel.agg(**agg).execute()
@@ -69,12 +74,12 @@ def assert_query_parity(relation, predicate):
 
     grouped = relation.query().where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
     grouped_base = (
-        relation.query(use_kernels=False).where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
+        relation.query(config=NO_KERNELS).where(predicate).group_by("x").agg(n=Count(), s=Sum("x"))
     )
     assert grouped.execute().columns == grouped_base.execute().columns
 
     rows = relation.query().where(predicate).select("x").execute()
-    rows_base = relation.query(use_kernels=False).where(predicate).select("x").execute()
+    rows_base = relation.query(config=NO_KERNELS).where(predicate).select("x").execute()
     assert np.array_equal(np.asarray(rows.columns["x"]), np.asarray(rows_base.columns["x"]))
 
 
@@ -161,7 +166,7 @@ class TestRleKernel:
         predicate = Between("x", 1, 5)
         agg = dict(n=Count(), s=Sum("x"), lo=Min("x"), hi=Max("x"), a=Avg("x"))
         got = relation.query().where(predicate).agg(**agg).execute()
-        want = relation.query(use_kernels=False).where(predicate).agg(**agg).execute()
+        want = relation.query(config=NO_KERNELS).where(predicate).agg(**agg).execute()
         for name in agg:
             assert got.scalar(name) == want.scalar(name)
         assert got.metrics.rows_kernel_aggregated > 0
@@ -175,7 +180,7 @@ class TestRleKernel:
         assert result.columns["x"] == [1, 2, 3, 4, 5, 6]
 
     def test_disabling_kernels_restores_decode_accounting(self, relation):
-        result = relation.query(use_kernels=False).where(Eq("x", 3)).agg(n=Count()).execute()
+        result = relation.query(config=NO_KERNELS).where(Eq("x", 3)).agg(n=Count()).execute()
         assert result.metrics.rows_rle_evaluated == 0
         assert result.metrics.runs_evaluated == 0
         assert result.metrics.rows_decoded > 0
@@ -239,11 +244,46 @@ class TestFrequencyKernel:
         relation = single_column_relation(values, "frequency", block_size=3_000)
         for predicate in (Eq("x", 42), Between("x", 40, 100), In("x", [41, 42, 43])):
             got = relation.query().where(predicate).agg(n=Count()).execute()
-            want = relation.query(use_kernels=False).where(predicate).agg(n=Count()).execute()
+            want = relation.query(config=NO_KERNELS).where(predicate).agg(n=Count()).execute()
             assert got.scalar("n") == want.scalar("n")
         result = relation.query().where(Eq("x", 42)).agg(n=Count()).execute()
         assert result.metrics.rows_decoded == 0
         assert result.metrics.rows_dict_evaluated == values.size
+
+
+class TestEngineRegistry:
+    """An Engine's kernel registry reaches every operator's predicate."""
+
+    def test_custom_registry_governs_select_aggregate_and_topk(self):
+        n = 40_000
+        rng = np.random.default_rng(7)
+        grade = np.repeat(np.arange(-(-n // 64), dtype=np.int64) % 50, 64)[:n]
+        table = Table.from_columns(
+            [("grade", INT64, grade), ("word", INT64, rng.integers(0, 65_536, n))]
+        )
+        plan = (
+            CompressionPlan.builder(table.schema)
+            .vertical("grade", "rle")
+            .vertical("word", "for_bitpack")
+            .build()
+        )
+        relation = TableCompressor(plan, block_size=5_000).compress(table)
+        predicate = Between("grade", 10, 20)
+        shapes = {
+            "select": lambda q: q.where(predicate).select("word"),
+            "aggregate": lambda q: q.where(predicate).agg(n=Count(), s=Sum("word")),
+            "topk": lambda q: q.where(predicate).select("word").order_by("word").limit(5),
+        }
+        with Engine(kernels=KernelRegistry()) as bare, Engine() as default:
+            for name, shape in shapes.items():
+                without = shape(bare.query(relation)).execute()
+                with_kernels = shape(default.query(relation)).execute()
+                for column, values in with_kernels.columns.items():
+                    assert np.array_equal(without.columns[column], values), name
+                # An empty registry offers no kernel, so nothing is answered
+                # in run space; the default registry answers every visited block.
+                assert without.metrics.rows_rle_evaluated == 0, name
+                assert with_kernels.metrics.rows_rle_evaluated > 0, name
 
 
 class TestParallelMaterialize:

@@ -1,7 +1,10 @@
-"""Tests for the morsel-driven parallel engine, dictionary-domain predicate
+"""Tests for the work-stealing parallel engine, dictionary-domain predicate
 evaluation, planner memoization, and parallel block compression."""
 
 from __future__ import annotations
+
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,11 +18,14 @@ from repro.query import (
     And,
     Between,
     ColumnPredicate,
+    EngineConfig,
     Eq,
+    Filter,
     In,
     Or,
     ParallelEngine,
-    QueryExecutor,
+    QueryCompiler,
+    Scan,
     ScanPlanner,
     parallel_map,
     resolve_workers,
@@ -42,6 +48,19 @@ def _make_relation(n_rows: int = 3000, block_size: int = 256, seed: int = 11):
 @pytest.fixture(scope="module")
 def relation():
     return _make_relation()
+
+
+def _scan(relation, predicate, **config):
+    """Qualifying row ids (no projection) and the scan metrics."""
+    with QueryCompiler(relation, **config) as compiler:
+        result = compiler.execute(Filter(Scan(relation), predicate))
+    return result.row_ids, result.metrics
+
+
+def _count(relation, predicate, **config):
+    """``count()`` of the filter, and the metrics of that run."""
+    query = relation.query(config=EngineConfig(**config)).where(predicate)
+    return query.count(), query.last_metrics
 
 
 # -- random predicate strategy -------------------------------------------------
@@ -77,35 +96,30 @@ class TestParallelMatchesSerial:
     @settings(max_examples=40, deadline=None)
     @given(predicate=_predicates)
     def test_scan_identical_across_worker_counts(self, relation, predicate):
-        serial = QueryExecutor(relation, workers=1)
-        expected_ids, expected_metrics = serial.scan(predicate)
+        expected_ids, expected_metrics = _scan(relation, predicate, workers=1)
         for workers in WORKER_COUNTS:
-            with QueryExecutor(relation, workers=workers) as executor:
-                row_ids, metrics = executor.scan(predicate)
-                assert np.array_equal(row_ids, expected_ids)
-                assert executor.count(predicate) == expected_ids.size
+            row_ids, metrics = _scan(relation, predicate, workers=workers)
+            assert np.array_equal(row_ids, expected_ids)
+            assert _count(relation, predicate, workers=workers)[0] == expected_ids.size
                 # Metrics totals must agree: planning is shared and every
                 # block is evaluated exactly once regardless of scheduling.
-                for field in (
-                    "n_blocks", "blocks_scanned", "blocks_pruned",
-                    "blocks_full", "rows_total", "rows_decoded",
-                    "rows_matched", "rows_dict_evaluated",
-                    "string_heap_decodes",
-                ):
-                    assert getattr(metrics, field) == getattr(
-                        expected_metrics, field
-                    )
+            for field in (
+                "n_blocks", "blocks_scanned", "blocks_pruned",
+                "blocks_full", "rows_total", "rows_decoded",
+                "rows_matched", "rows_dict_evaluated",
+                "string_heap_decodes",
+            ):
+                assert getattr(metrics, field) == getattr(expected_metrics, field)
 
     @settings(max_examples=20, deadline=None)
     @given(predicate=_predicates)
     def test_dictionary_domain_matches_decode_path(self, relation, predicate):
-        with_dict = QueryExecutor(relation).filter(predicate)
-        without = QueryExecutor(relation, use_dictionary=False).filter(predicate)
+        with_dict, _ = _scan(relation, predicate)
+        without, _ = _scan(relation, predicate, use_dictionary=False)
         assert np.array_equal(with_dict, without)
 
     def test_engine_results_are_sorted_and_complete(self, relation):
-        with ParallelEngine(relation, workers=4) as engine:
-            row_ids, metrics = engine.scan(Between("v", 0, 499))
+        row_ids, metrics = _scan(relation, Between("v", 0, 499), workers=4)
         assert np.array_equal(row_ids, np.arange(relation.n_rows))
         assert metrics.rows_matched == relation.n_rows
 
@@ -113,35 +127,31 @@ class TestParallelMatchesSerial:
         predicate = ColumnPredicate(
             "tag", lambda values: np.asarray([s.endswith("7") for s in values])
         )
-        serial = QueryExecutor(relation, workers=1).filter(predicate)
-        with QueryExecutor(relation, workers=4) as executor:
-            assert np.array_equal(serial, executor.filter(predicate))
+        serial, _ = _scan(relation, predicate, workers=1)
+        parallel, _ = _scan(relation, predicate, workers=4)
+        assert np.array_equal(serial, parallel)
 
 
 class TestDictionaryDomain:
     def test_eq_decodes_zero_string_heaps(self, relation):
-        executor = QueryExecutor(relation)
-        executor.count(Eq("tag", "tag_07"))
-        metrics = executor.last_scan_metrics
+        _, metrics = _count(relation, Eq("tag", "tag_07"))
         assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
         # Code-space-only blocks materialise nothing at all.
         assert metrics.rows_decoded == 0
 
     def test_decode_path_pays_heap_decodes(self, relation):
-        executor = QueryExecutor(relation, use_dictionary=False)
-        executor.count(Eq("tag", "tag_07"))
-        metrics = executor.last_scan_metrics
+        _, metrics = _count(relation, Eq("tag", "tag_07"), use_dictionary=False)
         assert metrics.rows_dict_evaluated == 0
         assert metrics.string_heap_decodes == relation.n_rows
         assert metrics.rows_decoded == relation.n_rows
 
     def test_absent_and_mistyped_values_match_nothing(self, relation):
-        executor = QueryExecutor(relation)
-        assert executor.count(Eq("tag", "no_such_tag")) == 0
-        assert executor.count(Eq("tag", 123)) == 0
-        assert executor.count(In("tag", ["nope", "also_nope"])) == 0
-        assert executor.last_scan_metrics.string_heap_decodes == 0
+        assert _count(relation, Eq("tag", "no_such_tag"))[0] == 0
+        assert _count(relation, Eq("tag", 123))[0] == 0
+        count, metrics = _count(relation, In("tag", ["nope", "also_nope"]))
+        assert count == 0
+        assert metrics.string_heap_decodes == 0
 
     def test_lookup_codes_string_column(self, relation):
         column = relation.block(0).column("tag")
@@ -187,18 +197,17 @@ class TestDictionaryDomain:
         rel = TableCompressor(plan, block_size=64).compress(table)
         expected = int(np.count_nonzero(values == 5.0))
         for kwargs in ({}, {"use_dictionary": False}, {"workers": 2}):
-            executor = QueryExecutor(rel, **kwargs)
-            assert executor.count(Eq("c", 5.0)) == expected
-            assert executor.count(Eq("c", True)) == 0
-            assert executor.count(In("c", [5.0, 5.5])) == expected
+            assert _count(rel, Eq("c", 5.0), **kwargs)[0] == expected
+            assert _count(rel, Eq("c", True), **kwargs)[0] == 0
+            assert _count(rel, In("c", [5.0, 5.5]), **kwargs)[0] == expected
 
     def test_leaf_statistics_shortcut_inside_compound(self, relation):
         # "absent" sorts outside every block's [min, max], so the tag leaf of
         # the Or is answered all-false from statistics without any code
         # unpack — and the result must still match the decode path.
         predicate = Or(Eq("v", 5), Eq("tag", "absent"))
-        with_dict = QueryExecutor(relation).filter(predicate)
-        without = QueryExecutor(relation, use_dictionary=False).filter(predicate)
+        with_dict, _ = _scan(relation, predicate)
+        without, _ = _scan(relation, predicate, use_dictionary=False)
         assert np.array_equal(with_dict, without)
 
     def test_code_space_column_excludes_horizontal(self, relation):
@@ -287,20 +296,34 @@ class TestParallelHelpers:
         with pytest.raises(ValidationError):
             resolve_workers(-2)
 
-    def test_morsel_grouping(self, relation):
-        engine = ParallelEngine(relation, workers=2, morsel_blocks=3)
-        items = [(i, i * relation.block_size) for i in range(7)]
-        morsels = engine.morsels(items)
-        assert [m.n_blocks for m in morsels] == [3, 3, 1]
-        assert [i for m in morsels for i in m.block_indices] == list(range(7))
-
     def test_engine_context_manager_closes_pool(self, relation):
         with ParallelEngine(relation, workers=2) as engine:
-            engine.scan(Between("v", 0, 100))
+            tasks, _ = engine.classify(Between("v", 0, 100))
+            results, _ = engine.run(tasks, lambda task: task.index)
+            assert engine._pool is not None
+        assert results == [task.index for task in tasks]
         assert engine._pool is None
 
-    def test_executor_context_manager_closes_pool(self, relation):
-        with QueryExecutor(relation, workers=2) as executor:
-            executor.count(Between("v", 0, 100))
-        assert executor._engine._pool is None
-        QueryExecutor(relation, workers=1).close()  # serial: no-op
+    def test_run_takes_each_task_once_and_keeps_order_under_contention(self, relation):
+        # More workers than cores and a tiny switch interval: a task taken
+        # twice (or lost) between an owner's popleft and a thief's pop, or
+        # a result written to the wrong slot, breaks one of the asserts.
+        tasks = list(range(400))
+        taken: list[int] = []
+
+        def work(task: int) -> int:
+            taken.append(task)
+            if task % 7 == 0:
+                time.sleep(0)
+            return task * task
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ParallelEngine(relation, workers=8) as engine:
+                results, scheduler = engine.run(tasks, work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == tasks
+        assert results == [task * task for task in tasks]
+        assert scheduler.morsels_stolen <= scheduler.steal_attempts

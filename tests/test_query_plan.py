@@ -1,8 +1,8 @@
 """Tests for the lazy query API: logical plans, builder, compiler, pushdowns.
 
-The property-based section checks three-way parity — lazy API ==
-imperative ``QueryExecutor`` == a plain full-decode reference over the raw
-table values — and serial == parallel, for randomized predicates
+The property-based section checks three-way parity — lazy API == a
+hand-built plan run by ``QueryCompiler`` == a plain full-decode reference
+over the raw table values — and serial == parallel, for randomized predicates
 (including ``Not`` and string ``Between``) and randomized aggregates over
 a relation mixing vertical encodings (FOR/delta/dictionary/RLE candidates)
 with a diff-encoded horizontal column.
@@ -23,6 +23,8 @@ from repro.query import (
     Avg,
     Between,
     Count,
+    Engine,
+    EngineConfig,
     Eq,
     Filter,
     In,
@@ -34,12 +36,11 @@ from repro.query import (
     Or,
     Project,
     QueryCompiler,
-    QueryExecutor,
     Scan,
     Sum,
     render_plan,
 )
-from repro.storage import BlockStatistics, ColumnStatistics, Table
+from repro.storage import BlockStatistics, ColumnStatistics, DiskRelation, Table, write_table
 from repro.storage.serialization import deserialize_block, serialize_block
 
 TAGS = [f"tag_{i:02d}" for i in range(9)]
@@ -162,16 +163,51 @@ def _reference_aggregate(table, mask, fn):
     return min(selected) if fn.kind == "min" else max(selected)
 
 
+@pytest.fixture(scope="module")
+def disk_relation(relation, tmp_path_factory):
+    path = tmp_path_factory.mktemp("plan") / "reference.corra"
+    write_table(str(path), relation)
+    with DiskRelation(str(path)) as disk:
+        yield disk
+
+
+class TestCrossOperatorMetamorphic:
+    """Operators agree with one another, independent of any decode reference.
+
+    Select, sort, top-k and (grouped) aggregation share one per-block
+    loop; these relations between their outputs must hold for every
+    predicate, worker count and storage backing.
+    """
+
+    @settings(max_examples=15, deadline=None)
+    @given(predicate=_predicates, k=st.integers(0, 40), desc=st.booleans())
+    def test_operators_agree(self, relation, disk_relation, predicate, k, desc):
+        for workers in (1, 2):
+            with Engine(EngineConfig(workers=workers)) as engine:
+                for source in (relation, disk_relation):
+                    query = engine.query(source).where(predicate)
+                    n = query.count()
+                    totals = query.agg(n=Count(), total=Sum("v")).execute()
+                    assert n == query.select("v").execute().n_rows == totals.scalar("n")
+                    grouped = query.group_by("tag").agg(total=Sum("v")).execute()
+                    assert sum(grouped.column("total")) == totals.scalar("total")
+                    ordered = query.select("v").order_by("v", desc=desc)
+                    top = ordered.limit(k).execute().row_ids
+                    extended = ordered.limit(k + 1).execute().row_ids
+                    assert extended.size == min(k + 1, n)
+                    assert top.tolist() == extended[:k].tolist()
+
+
 class TestLazyParity:
-    """Lazy API == QueryExecutor == full-decode reference; serial == parallel."""
+    """Lazy API == compiled plan == full-decode reference; serial == parallel."""
 
     @settings(max_examples=30, deadline=None)
     @given(predicate=_predicates)
     def test_filter_parity(self, relation, table, predicate):
         expected = np.flatnonzero(_reference_mask(table, predicate))
-        executor_ids = QueryExecutor(relation).filter(predicate)
+        compiled = QueryCompiler(relation).execute(Filter(Scan(relation), predicate))
         lazy = relation.query().where(predicate).execute()
-        assert np.array_equal(executor_ids, expected)
+        assert np.array_equal(compiled.row_ids, expected)
         assert np.array_equal(lazy.row_ids, expected)
         assert relation.query().where(predicate).count() == expected.size
 
@@ -180,7 +216,12 @@ class TestLazyParity:
     def test_aggregate_parity(self, relation, table, predicate, aggs):
         mask = _reference_mask(table, predicate)
         serial = relation.query().where(predicate).agg(**dict(aggs)).execute()
-        parallel = relation.query(workers=4).where(predicate).agg(**dict(aggs)).execute()
+        parallel = (
+            relation.query(config=EngineConfig(workers=4))
+            .where(predicate)
+            .agg(**dict(aggs))
+            .execute()
+        )
         for name, fn in aggs:
             expected = _reference_aggregate(table, mask, fn)
             assert serial.scalar(name) == expected, fn.describe()
@@ -209,16 +250,20 @@ class TestLazyParity:
         assert list(result.column("total")) == [expected[k][1] for k in keys]
         assert list(result.column("first")) == [expected[k][2] for k in keys]
         # Parallel grouping merges the same per-block states in block order.
-        parallel = relation.query(workers=4).where(predicate).group_by("tag").agg(
-            n=Count(), total=Sum("v"), first=Min("ship")
-        ).execute()
+        parallel = (
+            relation.query(config=EngineConfig(workers=4))
+            .where(predicate)
+            .group_by("tag")
+            .agg(n=Count(), total=Sum("v"), first=Min("ship"))
+            .execute()
+        )
         assert parallel.columns == result.columns
 
     @settings(max_examples=20, deadline=None)
     @given(predicate=_predicates)
     def test_dictionary_and_statistics_toggles_agree(self, relation, predicate):
         baseline = relation.query(
-            use_statistics=False, use_dictionary=False
+            config=EngineConfig(use_statistics=False, use_dictionary=False)
         ).where(predicate).agg(n=Count(), total=Sum("v")).execute()
         tuned = relation.query().where(predicate).agg(n=Count(), total=Sum("v")).execute()
         assert tuned.scalar("n") == baseline.scalar("n")
@@ -227,7 +272,9 @@ class TestLazyParity:
     def test_select_matches_executor_select(self, relation, table):
         predicate = Between("ship", 8_300, 8_700)
         lazy = relation.query().where(predicate).select("receipt", "tag").execute()
-        imperative = QueryExecutor(relation).select(["receipt", "tag"], predicate)
+        imperative = QueryCompiler(relation).execute(
+            Project(Filter(Scan(relation), predicate), ("receipt", "tag"))
+        )
         assert np.array_equal(lazy.row_ids, imperative.row_ids)
         assert np.array_equal(lazy.column("receipt"), imperative.column("receipt"))
         assert lazy.column("tag") == imperative.column("tag")
@@ -466,7 +513,7 @@ class TestBuilderValidation:
     def test_group_by_without_dictionary_matches_code_space(self, relation):
         tuned = relation.query().group_by("tag").agg(n=Count(), hi=Max("v")).execute()
         decoded = (
-            relation.query(use_dictionary=False)
+            relation.query(config=EngineConfig(use_dictionary=False))
             .group_by("tag")
             .agg(n=Count(), hi=Max("v"))
             .execute()
@@ -484,8 +531,10 @@ class TestBuilderValidation:
         # resolves the reference through the shared per-block cache, and
         # rows_decoded is charged once per scanned block, not per leaf.
         predicate = Between("receipt", 8_010, 10_990) & Between("ship", 8_005, 10_995)
-        executor = QueryExecutor(relation, use_statistics=False)
-        row_ids, metrics = executor.scan(predicate)
+        result = QueryCompiler(relation, use_statistics=False).execute(
+            Filter(Scan(relation), predicate)
+        )
+        row_ids, metrics = result.row_ids, result.metrics
         mask = _reference_mask(table, predicate)
         assert np.array_equal(row_ids, np.flatnonzero(mask))
         assert metrics.rows_decoded == relation.n_rows
@@ -514,8 +563,8 @@ class TestExplainAndRendering:
         assert rendered.splitlines()[-1].strip().startswith("Scan")
 
     def test_executor_exposes_compiler(self, relation):
-        executor = QueryExecutor(relation)
-        assert executor.compiler.relation is relation
+        with Engine() as engine:
+            assert engine.compiler_for(relation).relation is relation
 
     def test_lazy_query_type(self, relation):
         assert isinstance(relation.query(), LazyQuery)
@@ -555,36 +604,36 @@ class TestNotPredicate:
         assert Not(ColumnPredicate("c", lambda v: v > 0)).fingerprint() is None
 
     def test_not_stays_in_code_space(self, relation):
-        executor = QueryExecutor(relation)
-        count = executor.count(Not(Eq("tag", TAGS[0])))
-        metrics = executor.last_scan_metrics
+        query = relation.query().where(Not(Eq("tag", TAGS[0])))
+        count = query.count()
+        metrics = query.last_metrics
         assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
-        without = QueryExecutor(relation, use_dictionary=False)
-        assert without.count(Not(Eq("tag", TAGS[0]))) == count
+        without = relation.query(config=EngineConfig(use_dictionary=False))
+        assert without.where(Not(Eq("tag", TAGS[0]))).count() == count
 
 
 class TestBetweenCodeSpace:
     def test_string_range_never_touches_the_heap(self, relation, table):
         predicate = Between("tag", TAGS[2], TAGS[6])
-        executor = QueryExecutor(relation)
-        count = executor.count(predicate)
-        metrics = executor.last_scan_metrics
+        query = relation.query().where(predicate)
+        count = query.count()
+        metrics = query.last_metrics
         assert count == sum(TAGS[2] <= t <= TAGS[6] for t in table.column("tag"))
         assert metrics.string_heap_decodes == 0
         assert metrics.rows_dict_evaluated == relation.n_rows
-        assert executor.count(Between("tag", "zzz", None)) == 0
+        assert relation.query().where(Between("tag", "zzz", None)).count() == 0
 
     def test_open_and_mistyped_bounds_match_decode_path(self, relation):
-        with_dict = QueryExecutor(relation)
-        without = QueryExecutor(relation, use_dictionary=False)
+        with_dict = relation.query()
+        without = relation.query(config=EngineConfig(use_dictionary=False))
         for predicate in (
             Between("tag", None, TAGS[4]),
             Between("tag", TAGS[4], None),
             Between("tag", 3, 7),
             Between("tag", TAGS[1], 9),
         ):
-            assert with_dict.count(predicate) == without.count(predicate)
+            assert with_dict.where(predicate).count() == without.where(predicate).count()
 
     def test_int_dictionary_code_range(self):
         from repro.encodings.dictionary import DictEncodedIntColumn
@@ -678,7 +727,10 @@ class TestAvgAggregate:
         for tag, mean in zip(result.column("tag"), result.column("mean")):
             assert mean == sum(expected[tag]) / len(expected[tag])
         parallel = (
-            relation.query(workers=4).group_by("tag").agg(mean=Avg("v"), n=Count()).execute()
+            relation.query(config=EngineConfig(workers=4))
+            .group_by("tag")
+            .agg(mean=Avg("v"), n=Count())
+            .execute()
         )
         assert parallel.columns == result.columns
 

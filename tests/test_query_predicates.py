@@ -11,11 +11,11 @@ from repro.query import (
     Between,
     BlockDecision,
     ColumnPredicate,
+    EngineConfig,
     Eq,
     In,
     Or,
     Predicate,
-    QueryExecutor,
     ScanPlanner,
 )
 from repro.storage import BlockStatistics, ColumnStatistics, Table
@@ -230,26 +230,28 @@ class TestScanPlanner:
         assert plan.count_of(BlockDecision.PRUNE) >= relation.n_blocks - 2
 
 
+def _filter(relation, predicate, **config):
+    """The ``where(predicate)`` result: qualifying row ids plus metrics."""
+    return relation.query(config=EngineConfig(**config)).where(predicate).execute()
+
+
 class TestExecutorPruning:
     def test_filter_matches_brute_force(self, sorted_relation):
         table, relation = sorted_relation
         ship = table.column("ship")
-        executor = QueryExecutor(relation)
-        brute = QueryExecutor(relation, use_statistics=False)
         for predicate, expected_mask in (
             (Between("ship", 8_031, 8_038), (ship >= 8_031) & (ship <= 8_038)),
             (Eq("ship", 8_050), ship == 8_050),
             (In("ship", [8_001, 8_099]), np.isin(ship, [8_001, 8_099])),
         ):
             expected = np.flatnonzero(expected_mask)
-            assert np.array_equal(executor.filter(predicate), expected)
-            assert np.array_equal(brute.filter(predicate), expected)
+            assert np.array_equal(_filter(relation, predicate).row_ids, expected)
+            brute = _filter(relation, predicate, use_statistics=False)
+            assert np.array_equal(brute.row_ids, expected)
 
     def test_metrics_report_pruning(self, sorted_relation):
         _, relation = sorted_relation
-        executor = QueryExecutor(relation)
-        executor.filter(Between("ship", 8_031, 8_038))
-        metrics = executor.last_scan_metrics
+        metrics = _filter(relation, Between("ship", 8_031, 8_038)).metrics
         assert metrics.n_blocks == relation.n_blocks
         assert metrics.blocks_scanned == 1
         assert metrics.blocks_pruned == relation.n_blocks - 1
@@ -260,28 +262,25 @@ class TestExecutorPruning:
         assert metrics.pruned_fraction == pytest.approx(0.9)
         assert "pruned" in metrics.describe()
 
-        baseline = QueryExecutor(relation, use_kernels=False)
-        baseline.filter(Between("ship", 8_031, 8_038))
-        assert baseline.last_scan_metrics.rows_decoded == 100
-        assert baseline.last_scan_metrics.rows_for_evaluated == 0
+        baseline = _filter(relation, Between("ship", 8_031, 8_038), use_kernels=False).metrics
+        assert baseline.rows_decoded == 100
+        assert baseline.rows_for_evaluated == 0
 
     def test_count_equals_filter_size_without_decoding_covered_blocks(self, sorted_relation):
         table, relation = sorted_relation
-        executor = QueryExecutor(relation)
-        predicate = Between("ship", 8_005, 8_060)
-        count = executor.count(predicate)
+        query = relation.query().where(Between("ship", 8_005, 8_060))
+        count = query.count()
         assert count == int(np.count_nonzero(
             (table.column("ship") >= 8_005) & (table.column("ship") <= 8_060)
         ))
-        metrics = executor.last_scan_metrics
+        metrics = query.last_metrics
         # Interior blocks are answered from statistics alone.
         assert metrics.blocks_full >= 4
         assert metrics.rows_decoded <= 200
 
     def test_select_attaches_metrics(self, sorted_relation):
         table, relation = sorted_relation
-        executor = QueryExecutor(relation)
-        result = executor.select(["receipt"], Between("ship", 8_031, 8_038))
+        result = relation.query().where(Between("ship", 8_031, 8_038)).select("receipt").execute()
         assert result.metrics is not None
         assert result.metrics.blocks_scanned == 1
         expected = np.flatnonzero(
@@ -293,33 +292,33 @@ class TestExecutorPruning:
     def test_unknown_column_raises(self, sorted_relation):
         _, relation = sorted_relation
         with pytest.raises(UnknownColumnError):
-            QueryExecutor(relation).filter(Eq("nope", 1))
+            _filter(relation, Eq("nope", 1))
 
     def test_predicate_less_select_clears_metrics(self, sorted_relation):
         _, relation = sorted_relation
-        executor = QueryExecutor(relation)
-        executor.count(Between("ship", 8_031, 8_038))
-        assert executor.last_scan_metrics is not None
-        result = executor.select(["ship"])
+        filtered = relation.query().where(Between("ship", 8_031, 8_038))
+        filtered.count()
+        assert filtered.last_metrics is not None
+        unfiltered = relation.query().select("ship")
+        result = unfiltered.execute()
         assert result.metrics is None
-        assert executor.last_scan_metrics is None
+        assert unfiltered.last_metrics is None
 
     def test_string_zone_maps_prune_eq(self):
         names = sorted(f"name-{i:03d}" for i in range(500))
         table = Table.from_columns([("s", STRING, names)])
         relation = TableCompressor(block_size=100).compress(table)
-        executor = QueryExecutor(relation)
-        rows = executor.filter(Eq("s", "name-250"))
-        assert rows.tolist() == [250]
-        assert executor.last_scan_metrics.blocks_scanned == 1
+        result = _filter(relation, Eq("s", "name-250"))
+        assert result.row_ids.tolist() == [250]
+        assert result.metrics.blocks_scanned == 1
 
     def test_relation_without_statistics_still_correct(self):
         table = Table.from_columns([("x", INT64, np.arange(1_000, dtype=np.int64))])
         relation = TableCompressor(block_size=100, collect_statistics=False).compress(table)
         assert all(block.statistics is None for block in relation)
-        executor = QueryExecutor(relation)
-        assert np.array_equal(executor.filter(Between("x", 10, 19)), np.arange(10, 20))
-        assert executor.last_scan_metrics.blocks_pruned == 0
+        result = _filter(relation, Between("x", 10, 19))
+        assert np.array_equal(result.row_ids, np.arange(10, 20))
+        assert result.metrics.blocks_pruned == 0
 
 
 class TestAcceptanceSortedMillionRows:
@@ -339,9 +338,8 @@ class TestAcceptanceSortedMillionRows:
 
         stats = relation.block(5).column_statistics("l_shipdate")
         predicate = Between("l_shipdate", stats.min_value + 1, stats.max_value - 1)
-        executor = QueryExecutor(relation)
-        row_ids = executor.filter(predicate)
-        metrics = executor.last_scan_metrics
+        result = _filter(relation, predicate)
+        row_ids, metrics = result.row_ids, result.metrics
 
         assert metrics.blocks_scanned + metrics.blocks_full <= 2
         assert metrics.blocks_pruned >= 14

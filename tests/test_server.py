@@ -32,6 +32,7 @@ from repro.server import (
     parse_predicate,
     parse_request,
 )
+from repro.server.protocol import MAX_PREDICATE_DEPTH
 from repro.server.service import _AdmissionGate
 from repro.storage import Catalog, Table
 
@@ -387,6 +388,31 @@ class TestHttpServer:
                 )
                 assert status == 413
                 assert "limit" in body["error"]
+
+    def test_deeply_nested_predicate_is_400(self, catalog_dir):
+        def nested_not(depth):
+            leaf = '{"op": "eq", "column": "v", "value": 7}'
+            where = '{"op": "not", "child": ' * (depth - 1) + leaf + "}" * (depth - 1)
+            return '{"table": "trips", "where": %s, "aggregates": {"n": {"fn": "count"}}}' % where
+
+        with QueryService(catalog_dir) as service:
+            with BackgroundServer(service, port=0) as (host, port):
+                # The deepest accepted tree, one level more (valid JSON the
+                # protocol rejects), and a body too deep for the JSON decoder.
+                for depth, expected in (
+                    (MAX_PREDICATE_DEPTH, 200),
+                    (MAX_PREDICATE_DEPTH + 1, 400),
+                    (3_000, 400),
+                ):
+                    conn = http.client.HTTPConnection(host, port, timeout=30)
+                    try:
+                        conn.request("POST", "/query", body=nested_not(depth))
+                        response = conn.getresponse()
+                        assert response.status == expected, depth
+                        assert json.loads(response.read())
+                    finally:
+                        conn.close()
+                assert self._request(host, port, "GET", "/health")[0] == 200
 
     def test_invalid_json_is_400(self, catalog_dir):
         with QueryService(catalog_dir) as service:
